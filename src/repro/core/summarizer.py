@@ -16,9 +16,10 @@ error triggers the stage's documented fallback and is recorded in the
 summary's :class:`~repro.resilience.DegradationReport` (``strict=True``
 restores raise-on-first-error).  ``STMaker.summarize_many`` adds per-item
 error isolation, bounded retry, deadline budgets and a quarantine list on
-top — see ``docs/ROBUSTNESS.md`` for the full degradation ladder — and,
-with ``workers > 1``, delegates to the sharded worker pool in
-:mod:`repro.serving` (element-wise identical results; ``docs/SERVING.md``).
+top — see ``docs/ROBUSTNESS.md`` for the full degradation ladder — by
+forwarding to the one batch runner in :mod:`repro.serving`, which runs
+serially for ``workers=1`` and on a sharded worker pool otherwise
+(element-wise identical results; ``docs/SERVING.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.templates import partition_sentence, summary_text
 from repro.core.types import PartitionSpan, PartitionSummary, TrajectorySummary
 from repro.exceptions import (
     CalibrationError,
-    ConfigError,
     PartitionError,
     ReproError,
     TransientError,
@@ -62,7 +62,6 @@ from repro.obs import (
     span,
     stage_scope,
     stage_sink,
-    start_trace,
     timed_span,
     use_trace,
     wall_clock_of,
@@ -335,11 +334,15 @@ class STMaker:
         ``strict=True`` the first error raises instead (and no fallbacks
         run inside the items either).
 
-        With ``workers > 1`` (or an explicit ``shard_size``) the batch is
-        split into shards and served by the :mod:`repro.serving` worker
-        pool: element-wise identical results in input order, but each
-        shard gets its own full ``deadline_s`` budget and runs
-        concurrently.  ``shard_mode`` is one of
+        Every call is served by the one batch runner,
+        :func:`repro.serving.run_sharded`; the default ``workers=1`` with
+        no ``shard_size`` is its serial case, run inline on the calling
+        thread.  With ``workers > 1`` (or an explicit ``shard_size``) the
+        batch is split into shards and served by a worker pool:
+        element-wise identical results in input order, but each shard
+        gets its own full ``deadline_s`` budget and runs concurrently.
+        The pool-shape options are validated for every call, serial
+        included, before admission.  ``shard_mode`` is one of
         :data:`repro.serving.SHARD_MODES` and ``executor`` one of
         :data:`repro.serving.EXECUTORS`: ``"thread"`` (default; shares
         this model's memory, best for latency-bound work) or
@@ -348,8 +351,7 @@ class STMaker:
         pass ``artifact=`` a path saved with
         :func:`repro.artifact.save_artifact` to reuse a published file,
         or leave it ``None`` to auto-publish this model to a session
-        temp artifact).  The default ``workers=1`` with no
-        ``shard_size`` is the serial loop below, unchanged.
+        temp artifact).
 
         A ``progress`` callback receives a :class:`BatchProgress` snapshot
         after every item; the live rate and ETA are also mirrored into the
@@ -366,89 +368,18 @@ class STMaker:
         serves the batch at a cheaper ``k`` (``shed="degrade"``), with
         *tenant*/*priority* consulted by per-tenant budgets and bypass.
         """
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        items = list(trajectories)
-        if workers > 1 or shard_size is not None:
-            from repro.serving import run_sharded
+        from repro.serving import run_sharded
 
-            return run_sharded(
-                self, items, k,
-                sanitize=sanitize, sanitizer_config=sanitizer_config,
-                strict=strict, retry=retry, deadline_s=deadline_s,
-                sleeper=sleeper, progress=progress,
-                workers=workers, shard_size=shard_size, shard_mode=shard_mode,
-                executor=executor, artifact=artifact,
-                shard_retry=shard_retry, breaker=breaker,
-                admission=admission, tenant=tenant, priority=priority,
-            )
-        ticket = None
-        admission_wait_s = 0.0
-        if admission is not None:
-            # May raise OverloadError (shed="reject") — deliberately before
-            # any work starts, so a shed batch costs nothing.
-            admit_started = time.perf_counter()
-            ticket = admission.admit(len(items), tenant=tenant, priority=priority)
-            admission_wait_s = time.perf_counter() - admit_started
-            if ticket.decision.k_override is not None:
-                k = ticket.decision.k_override
-        # Every item gets request identity from the moment the batch is
-        # admitted; queue wait is measured against this anchor.
-        batch_anchor_unix = time.time()
-        retry = retry or RetryPolicy()
-        deadline = Deadline(deadline_s)
-        result = BatchResult()
-        m = metrics()
-        m.counter("resilience.batch.calls").inc()
-        emit_event("batch_start", items=len(items), k=k)
-        started = time.perf_counter()
-        retries_seen = 0
-
-        def note_progress(done: int) -> None:
-            elapsed = time.perf_counter() - started
-            rate = done / elapsed if elapsed > 0.0 else 0.0
-            eta = (len(items) - done) / rate if rate > 0.0 else None
-            m.gauge("resilience.batch.items_per_s").set(rate)
-            if eta is not None:
-                m.gauge("resilience.batch.eta_s").set(eta)
-            snapshot = BatchProgress(
-                done, len(items), result.ok_count, result.quarantined_count,
-                retries_seen, elapsed, rate, eta,
-            )
-            emit_event("progress", **snapshot.to_dict())
-            if progress is not None:
-                progress(snapshot)
-
-        try:
-            with span("summarize_many", items=len(items), k=k) as sp:
-                for index, raw in enumerate(items):
-                    outcome = self._summarize_item(
-                        index, raw, k=k,
-                        sanitize=sanitize, sanitizer_config=sanitizer_config,
-                        strict=strict, retry=retry, deadline=deadline,
-                        sleeper=sleeper,
-                        trace=start_trace(anchor_unix_s=batch_anchor_unix),
-                        admission_wait_s=admission_wait_s,
-                    )
-                    retries_seen += outcome.retries
-                    result.sanitization.append(outcome.sanitization)
-                    result.latencies.append(outcome.latency)
-                    if outcome.summary is not None:
-                        result.summaries.append(outcome.summary)
-                    if outcome.quarantine is not None:
-                        result.quarantined.append(outcome.quarantine)
-                    note_progress(index + 1)
-                sp.set_tag("ok", result.ok_count)
-                sp.set_tag("quarantined", result.quarantined_count)
-        finally:
-            if ticket is not None:
-                ticket.release()
-        emit_event(
-            "batch_end", ok=result.ok_count,
-            quarantined=result.quarantined_count,
-            duration_ms=(time.perf_counter() - started) * 1000.0,
+        return run_sharded(
+            self, trajectories, k,
+            sanitize=sanitize, sanitizer_config=sanitizer_config,
+            strict=strict, retry=retry, deadline_s=deadline_s,
+            sleeper=sleeper, progress=progress,
+            workers=workers, shard_size=shard_size, shard_mode=shard_mode,
+            executor=executor, artifact=artifact,
+            shard_retry=shard_retry, breaker=breaker,
+            admission=admission, tenant=tenant, priority=priority,
         )
-        return result
 
     def _summarize_item(
         self,
@@ -468,9 +399,10 @@ class STMaker:
     ) -> ItemOutcome:
         """One batch item end to end: sanitize, summarize, retry, quarantine.
 
-        The single code path shared by the serial loop above and the
-        sharded pool in :mod:`repro.serving` — what makes ``workers=N``
-        element-wise identical to ``workers=1`` by construction.  Raises
+        Called only from the one shard loop,
+        :func:`repro.serving.executor.run_shard`, which every executor
+        (serial included) runs — what makes ``workers=N`` element-wise
+        identical to ``workers=1`` by construction.  Raises
         only in ``strict`` mode; otherwise every failure becomes the
         outcome's quarantine entry.  *shard_id* is pure provenance for
         that entry (``None`` on the serial path).
@@ -655,7 +587,7 @@ class STMaker:
         permanently lose summary quality; ``summarize_many`` retries them.
         :class:`WorkerCrashError` s propagate too: a crash is not a stage
         failure to paper over but an item-fatal event, and letting it
-        reach the quarantine path is what keeps the serial loop's verdict
+        reach the quarantine path is what keeps a serial run's verdict
         for a poison item identical to the supervised process pool's.
         """
         try:

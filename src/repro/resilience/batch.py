@@ -29,7 +29,7 @@ class LatencyBreakdown:
     The phases tile the item's life: *admission wait* (blocked in
     :meth:`~repro.serving.AdmissionPolicy.admit` before the batch
     started), *queue wait* (admitted but not yet picked up by a
-    worker/the serial loop), *exec* (inside summarization attempts),
+    worker or the serial run), *exec* (inside summarization attempts),
     *backoff* (sleeping between transient retries), and *reassembly*
     (input-order rebuild after the pool drained — a per-batch constant).
     ``stages_s`` splits exec time by pipeline stage via the
@@ -135,10 +135,10 @@ class ItemOutcome:
     """The complete outcome of one batch item, keyed by its input index.
 
     Exactly one of ``summary`` / ``quarantine`` is set.  This is the unit
-    of work shared by the serial loop in
-    :meth:`repro.core.STMaker.summarize_many` and the sharded worker pool
-    in :mod:`repro.serving`: both produce the same outcomes item by item,
-    which is what makes "parallel ≡ serial" hold by construction.
+    of work of the one shard loop, :func:`repro.serving.run_shard`, which
+    every executor of :meth:`repro.core.STMaker.summarize_many` runs —
+    serial and pooled alike — which is what makes "parallel ≡ serial"
+    hold by construction.
     """
 
     #: Position of the item in the input batch.

@@ -10,9 +10,14 @@ long-lived process puts in front of it:
   intake, FIFO within a tenant, weighted round-robin across tenants;
 * :class:`~repro.server.frontend.SummarizationServer` /
   :class:`~repro.server.frontend.RequestHandle` — submit batches from
-  any thread, consumer threads drain admitted work into the existing
-  ``summarize_many``/``run_sharded`` path (admission and circuit
-  breaking consumed from :mod:`repro.serving`, not reinvented);
+  any thread, consumer threads serve admitted work through
+  ``summarize_many``, which forwards every request to the one batch
+  runner, :func:`repro.serving.run_sharded` (serial at the default
+  ``workers=1``, a thread or process pool otherwise; admission and
+  circuit breaking consumed from :mod:`repro.serving`, not reinvented).
+  The pool-shape fields of the config are checked by the runner's own
+  validator (:func:`repro.serving.validate_pool_shape`), so a shape the
+  runner would reject fails at server build time;
 * :mod:`~repro.server.cache` — bounded LRU hot caches for the paper's
   expensive historical lookups (popular routes, anchor history), keyed
   on ``(artifact_fingerprint, query)``.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.exceptions import ConfigError
-from repro.serving import EXECUTORS, SHARD_MODES, SHED_POLICIES
+from repro.serving import SHED_POLICIES, validate_pool_shape
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +74,10 @@ class ServerConfig:
             )
         if self.consumers < 1:
             raise ConfigError(f"consumers must be >= 1, got {self.consumers}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in EXECUTORS:
-            raise ConfigError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
-            )
-        if self.shard_mode not in SHARD_MODES:
-            raise ConfigError(
-                f"unknown shard_mode {self.shard_mode!r}; "
-                f"expected one of {SHARD_MODES}"
-            )
+        validate_pool_shape(
+            workers=self.workers, shard_size=self.shard_size,
+            shard_mode=self.shard_mode, executor=self.executor,
+        )
         if self.shed not in SHED_POLICIES:
             raise ConfigError(
                 f"unknown shed policy {self.shed!r}; "

@@ -5,9 +5,9 @@ ROADMAP's "millions of users" story needs: callers :meth:`~SummarizationServer.s
 batches and get back a :class:`RequestHandle` (a small future); consumer
 threads drain the bounded multi-tenant :class:`~repro.server.queue.RequestQueue`
 in weighted round-robin order and serve each request through the
-**existing** :meth:`~repro.core.STMaker.summarize_many` path — the same
-code the differential suites already prove element-wise identical to the
-serial loop — against a cached view of the model
+**existing** :meth:`~repro.core.STMaker.summarize_many` path — the one
+batch runner, :func:`repro.serving.run_sharded`, serial at the default
+``workers=1`` — against a cached view of the model
 (:func:`~repro.server.cache.cached_view`).
 
 Nothing is reinvented at the edges:

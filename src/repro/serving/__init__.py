@@ -7,14 +7,17 @@ without changing semantics:
 
 * :mod:`~repro.serving.sharder` — partition a batch into shards
   (balanced / round-robin / stable key-hashed);
-* :mod:`~repro.serving.pool` — run shards on a worker pool with per-shard
-  deadline budgets, shared retry policy, and live progress
-  (:func:`run_sharded`, plus the ``await``-able :func:`run_sharded_async`);
-* :mod:`~repro.serving.executor` — the ``executor="process"`` backend:
-  shards ship to :class:`~concurrent.futures.ProcessPoolExecutor` workers
-  as :class:`ShardTask` s carrying a city-model **artifact reference**
-  (:mod:`repro.artifact`) instead of the model itself, and come back as
-  :class:`ShardResult` s carrying their telemetry snapshot;
+* :mod:`~repro.serving.pool` — the one batch runner, :func:`run_sharded`
+  (serial is its ``workers=1`` case): validation, admission, per-item
+  traces, live progress, and reassembly, with shards on a thread or
+  process pool under per-shard deadline budgets;
+* :mod:`~repro.serving.executor` — the one shard loop,
+  :func:`run_shard`, over a :class:`ShardTask`, and the
+  ``executor="process"`` backend: tasks ship to
+  :class:`~concurrent.futures.ProcessPoolExecutor` workers carrying a
+  city-model **artifact reference** (:mod:`repro.artifact`) instead of
+  the model itself, and come back as :class:`ShardResult` s carrying
+  their telemetry snapshot;
 * :mod:`~repro.serving.supervisor` — crash containment for the process
   backend: worker death is retried, bisected down to the poison item,
   and quarantined with a typed
@@ -58,16 +61,13 @@ from repro.serving.executor import (
     EXECUTORS,
     ShardResult,
     ShardTask,
+    run_shard,
     run_shard_in_process,
 )
 from repro.serving.ordering import reassemble
-from repro.serving.pool import run_sharded, run_sharded_async
+from repro.serving.pool import run_sharded, validate_pool_shape
 from repro.serving.sharder import SHARD_MODES, Shard, plan_shards, stable_key_hash
-from repro.serving.supervisor import (
-    ShardRetryPolicy,
-    run_shard_local,
-    supervise_process_shards,
-)
+from repro.serving.supervisor import ShardRetryPolicy, supervise_process_shards
 
 __all__ = [
     "AdmissionController",
@@ -87,11 +87,11 @@ __all__ = [
     "get_breaker",
     "plan_shards",
     "reset_breakers",
+    "run_shard",
     "run_shard_in_process",
-    "run_shard_local",
     "run_sharded",
-    "run_sharded_async",
     "reassemble",
     "stable_key_hash",
     "supervise_process_shards",
+    "validate_pool_shape",
 ]

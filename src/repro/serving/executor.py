@@ -1,22 +1,27 @@
-"""Process-backed shard execution over a city-model artifact.
+"""The one shard loop, and the process backend that ships it.
 
-The thread pool in :mod:`repro.serving.pool` shares the trained model's
-memory but serializes pure-Python stages on the GIL; this module is the
-``executor="process"`` backend that breaks it.  The division of labour:
+:func:`run_shard` serves one :class:`ShardTask` item by item through
+``STMaker._summarize_item``; it is the only batch item loop.  The runner
+in :mod:`repro.serving.pool` builds one task per shard for every
+executor, and each executor calls :func:`run_shard` with only what is
+specific to it around the call: the serial case runs it inline, a
+thread worker under a shard-scoped metrics registry, the breaker's
+degraded path in the parent with ``degraded=True``, and a process
+worker (:func:`run_shard_in_process`) against a model rebuilt from the
+city-model artifact.
 
-* the **parent** (``prepare_process_batch``) publishes the model as a
-  binary city-model artifact (:func:`repro.artifact.ensure_artifact` when
-  no explicit path is given), validates that everything crossing the
-  boundary pickles, and packs each shard into a :class:`ShardTask` —
-  item slices, batch options, the artifact reference
-  ``(path, fingerprint)``, the fault-injector recipe, and which
-  telemetry sinks the parent has enabled;
-* each **worker process** (:func:`run_shard_in_process`) resets any
-  obs state inherited over ``fork`` (an inherited JSONL sink would
-  double-write the parent's file), installs fresh sinks, rebuilds the
-  STMaker once per process via :func:`repro.artifact.cached_stmaker`,
-  and runs the shard through the same ``STMaker._summarize_item`` path
-  the serial loop and the thread pool use;
+For the process executor the division of labour is:
+
+* the **parent** publishes the model as a binary city-model artifact
+  (:func:`repro.artifact.ensure_artifact` when no explicit path is
+  given), validates that everything crossing the boundary pickles
+  (:func:`check_process_compatible`), and adds the artifact reference
+  ``(path, fingerprint)``, the fault-injector recipe, and which telemetry
+  sinks it has enabled to each task;
+* each **worker process** resets any obs state inherited over ``fork``
+  (an inherited JSONL sink would double-write the parent's file),
+  installs fresh sinks, rebuilds the STMaker once per process via
+  :func:`repro.artifact.cached_stmaker`, and runs :func:`run_shard`;
 * the worker returns a :class:`ShardResult`: the outcomes plus a
   :class:`~repro.obs.TelemetrySnapshot` (metrics delta, span batch,
   event list) that the parent folds back with
@@ -26,21 +31,23 @@ memory but serializes pure-Python stages on the GIL; this module is the
 Start method: ``fork`` when the parent is single-threaded (cheapest, and
 the pool's worker processes are forked before its manager thread starts),
 ``forkserver`` once any other thread is alive (forking a multi-threaded
-parent is unsafe and deprecated in CPython 3.12+ — this covers
-:func:`repro.serving.pool.run_sharded_async`, which calls in from an
-executor thread).  Override with ``REPRO_MP_START_METHOD``.
+parent is unsafe and deprecated in CPython 3.12+ — this covers a batch
+submitted from a server consumer thread).  Override with
+``REPRO_MP_START_METHOD``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import multiprocessing
 import os
 import pickle
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.exceptions import ConfigError
 from repro.features import default_registry
@@ -60,14 +67,10 @@ from repro.obs import (
     enable_events,
     enable_metrics,
     enable_tracing,
-    events_enabled,
-    metrics_enabled,
     span,
-    tracing_enabled,
 )
 from repro.resilience import Deadline, ItemOutcome, RetryPolicy
 from repro.resilience.faultinject import FaultInjector, FaultSpec
-from repro.serving.sharder import Shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.summarizer import STMaker
@@ -79,44 +82,47 @@ EXECUTORS = ("thread", "process")
 
 @dataclass(frozen=True, slots=True)
 class ShardTask:
-    """Everything one worker process needs to serve one shard.
+    """Everything :func:`run_shard` needs to serve one shard.
 
-    Deliberately model-free: the trained state travels as an artifact
-    reference, not as pickled objects, so N tasks cost N small pickles
-    plus one artifact load per worker process (the per-process cache in
-    :mod:`repro.artifact` collapses repeats).
+    ``shard_id`` is ``None`` for the serial case's single task: no
+    shard events, no ``"shard"`` span, and ``None`` as quarantine
+    provenance, exactly as a batch that was never sharded.  The fields
+    after ``admission_wait_s`` are only filled in for the process
+    executor.  Deliberately model-free: the trained state travels as an
+    artifact reference, not as pickled objects, so N tasks cost N small
+    pickles plus one artifact load per worker process (the per-process
+    cache in :mod:`repro.artifact` collapses repeats).
     """
 
-    shard_id: int
+    shard_id: int | None
     indices: tuple[int, ...]
     items: tuple["RawTrajectory", ...]
-    artifact_path: str
-    fingerprint: str
+    #: Per-item request contexts, parallel to ``indices``/``items``.
+    traces: tuple[TraceContext, ...]
     k: int | None
     sanitize: bool
     sanitizer_config: "SanitizerConfig | None"
     strict: bool
     retry: RetryPolicy
     deadline_s: float | None
-    sleeper: Callable[[float], None] | None  # None = time.sleep
+    sleeper: Callable[[float], None]
+    #: Seconds the whole batch blocked in admission before sharding;
+    #: copied onto every item's latency breakdown.
+    admission_wait_s: float = 0.0
+    artifact_path: str | None = None
+    fingerprint: str | None = None
     fault_specs: tuple[FaultSpec, ...] = ()
     fault_seed: int = 0
     want_metrics: bool = False
     want_spans: bool = False
     want_events: bool = False
-    #: Per-item request contexts, parallel to ``indices``/``items``
-    #: (empty when the parent minted none — pre-tracing callers).
-    traces: tuple[TraceContext, ...] = ()
-    #: Seconds the whole batch blocked in admission before sharding;
-    #: copied onto every item's latency breakdown.
-    admission_wait_s: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
 class ShardResult:
     """One served shard: ordered outcomes plus the worker's telemetry."""
 
-    shard_id: int
+    shard_id: int | None
     outcomes: tuple[ItemOutcome, ...]
     ok: int
     quarantined: int
@@ -160,66 +166,60 @@ def check_process_compatible(
             ) from exc
 
 
-def build_shard_tasks(
+def run_shard(
     stmaker: "STMaker",
-    shards: Sequence[Shard],
-    items: Sequence["RawTrajectory"],
+    task: ShardTask,
     *,
-    artifact_path: str,
-    fingerprint: str,
-    k: int | None,
-    sanitize: bool,
-    sanitizer_config: "SanitizerConfig | None",
-    strict: bool,
-    retry: RetryPolicy,
-    deadline_s: float | None,
-    sleeper: Callable[[float], None],
-    traces: Sequence[TraceContext] | None = None,
-    admission_wait_s: float = 0.0,
-) -> list[ShardTask]:
-    """Pack *shards* into self-contained :class:`ShardTask` s.
+    degraded: bool = False,
+    on_item: Callable[[ItemOutcome], None] | None = None,
+) -> ShardResult:
+    """Serve *task* item by item: the one batch item loop.
 
-    The installed fault injector (if any) travels as its recipe —
-    ``(specs, seed)`` — and every worker arms a fresh injector from it;
-    see ``docs/SERVING.md`` for what that means for bounded
-    (``times=N``) specs under process parallelism.
+    Every item goes through ``STMaker._summarize_item`` under one
+    :class:`~repro.resilience.Deadline` of the task's full budget.  A
+    sharded task (``shard_id`` set) runs under a ``"shard"`` span and is
+    bracketed by ``shard_start``/``shard_end`` events, tagged
+    ``degraded=True`` on the breaker's in-parent path.  *on_item* sees
+    each outcome as it settles (the live progress tally).  In ``strict``
+    mode the first item error propagates.
     """
-    injector = stmaker.fault_injector
-    fault_specs: tuple[FaultSpec, ...] = ()
-    fault_seed = 0
-    if injector is not None:
-        fault_specs = injector.specs
-        fault_seed = injector.seed
-    want_metrics = metrics_enabled()
-    want_spans = tracing_enabled()
-    want_events = events_enabled()
-    return [
-        ShardTask(
-            shard_id=shard.shard_id,
-            indices=tuple(shard.indices),
-            items=tuple(items[index] for index in shard.indices),
-            artifact_path=artifact_path,
-            fingerprint=fingerprint,
-            k=k,
-            sanitize=sanitize,
-            sanitizer_config=sanitizer_config,
-            strict=strict,
-            retry=retry,
-            deadline_s=deadline_s,
-            sleeper=None if sleeper is time.sleep else sleeper,
-            fault_specs=fault_specs,
-            fault_seed=fault_seed,
-            want_metrics=want_metrics,
-            want_spans=want_spans,
-            want_events=want_events,
-            traces=(
-                () if traces is None
-                else tuple(traces[index] for index in shard.indices)
-            ),
-            admission_wait_s=admission_wait_s,
+    deadline = Deadline(task.deadline_s)
+    sharded = task.shard_id is not None
+    tags = {"degraded": True} if degraded else {}
+    if sharded:
+        emit_event("shard_start", shard_id=task.shard_id, items=len(task.items), **tags)
+    started = time.perf_counter()
+    outcomes: list[ItemOutcome] = []
+    with (
+        span("shard", shard_id=task.shard_id, items=len(task.items), **tags)
+        if sharded else contextlib.nullcontext()
+    ):
+        for offset, index in enumerate(task.indices):
+            outcome = stmaker._summarize_item(
+                index, task.items[offset], k=task.k,
+                sanitize=task.sanitize, sanitizer_config=task.sanitizer_config,
+                strict=task.strict, retry=task.retry,
+                deadline=deadline, sleeper=task.sleeper,
+                shard_id=task.shard_id, trace=task.traces[offset],
+                admission_wait_s=task.admission_wait_s,
+            )
+            outcomes.append(outcome)
+            if on_item is not None:
+                on_item(outcome)
+    duration_ms = (time.perf_counter() - started) * 1000.0
+    ok = sum(1 for outcome in outcomes if outcome.summary is not None)
+    rate = len(outcomes) / (duration_ms / 1000.0) if duration_ms > 0.0 else 0.0
+    if sharded:
+        emit_event(
+            "shard_end", shard_id=task.shard_id, items=len(outcomes),
+            ok=ok, quarantined=len(outcomes) - ok,
+            duration_ms=duration_ms, items_per_s=rate, **tags,
         )
-        for shard in shards
-    ]
+    return ShardResult(
+        shard_id=task.shard_id, outcomes=tuple(outcomes),
+        ok=ok, quarantined=len(outcomes) - ok,
+        duration_ms=duration_ms, items_per_s=rate,
+    )
 
 
 def _reset_inherited_obs() -> None:
@@ -244,13 +244,12 @@ def _reset_inherited_obs() -> None:
 def run_shard_in_process(task: ShardTask) -> ShardResult:
     """Worker-process entry point: serve one shard against the artifact.
 
-    Mirrors the thread pool's ``run_shard`` telemetry contract — the item
-    loop records into a fresh registry whose delta ships home in the
-    result, ``shard_start``/``shard_end`` bracket the shard on the event
-    stream, and the whole shard runs under a ``"shard"`` span — so the
-    differential suite can hold process mode to the same merged-telemetry
-    invariants as thread mode.  In ``strict`` mode the first item error
-    propagates (pickled) to the parent, matching the serial contract.
+    Wraps :func:`run_shard` in fresh obs sinks whose contents ship home
+    as the result's telemetry snapshot, so the parent's merged totals
+    match a thread-mode run.  The worker's ``"shard"`` span deliberately
+    has no parent and no trace id: it is process-local infrastructure
+    that the parent grafts under the live batch span, while per-item
+    spans carry their item's :class:`~repro.obs.TraceContext`.
     """
     from repro.artifact import cached_stmaker
 
@@ -270,60 +269,13 @@ def run_shard_in_process(task: ShardTask) -> ShardResult:
             stmaker.fault_injector = FaultInjector(
                 task.fault_specs, seed=task.fault_seed
             )
-        sleeper = task.sleeper if task.sleeper is not None else time.sleep
-        deadline = Deadline(task.deadline_s)
-        emit_event("shard_start", shard_id=task.shard_id, items=len(task.items))
-        started = time.perf_counter()
-        outcomes: list[ItemOutcome] = []
-        ok = quarantined = 0
-        # The worker's "shard" span deliberately has no parent and no
-        # trace id: it is process-local infrastructure.  The parent folds
-        # it under the live batch span via apply_telemetry's graft;
-        # per-item spans below carry their item's TraceContext instead.
-        with span("shard", shard_id=task.shard_id, items=len(task.items)):
-            for offset, (index, raw) in enumerate(zip(task.indices, task.items)):
-                outcome = stmaker._summarize_item(
-                    index, raw, k=task.k,
-                    sanitize=task.sanitize,
-                    sanitizer_config=task.sanitizer_config,
-                    strict=task.strict, retry=task.retry,
-                    deadline=deadline, sleeper=sleeper,
-                    shard_id=task.shard_id,
-                    trace=(
-                        task.traces[offset] if offset < len(task.traces)
-                        else None
-                    ),
-                    admission_wait_s=task.admission_wait_s,
-                )
-                outcomes.append(outcome)
-                if outcome.summary is not None:
-                    ok += 1
-                else:
-                    quarantined += 1
-        duration_ms = (time.perf_counter() - started) * 1000.0
-        rate = (
-            len(task.items) / (duration_ms / 1000.0) if duration_ms > 0.0 else 0.0
-        )
-        emit_event(
-            "shard_end", shard_id=task.shard_id, items=len(task.items),
-            ok=ok, quarantined=quarantined,
-            duration_ms=duration_ms, items_per_s=rate,
-        )
-        telemetry = None
-        if registry is not None or collector is not None or log is not None:
-            telemetry = capture_telemetry(
-                registry=registry, collector=collector, events=log,
-                source=f"shard-{task.shard_id}",
-            )
-        return ShardResult(
-            shard_id=task.shard_id,
-            outcomes=tuple(outcomes),
-            ok=ok,
-            quarantined=quarantined,
-            duration_ms=duration_ms,
-            items_per_s=rate,
-            telemetry=telemetry,
-        )
+        result = run_shard(stmaker, task)
+        if registry is None and collector is None and log is None:
+            return result
+        return dataclasses.replace(result, telemetry=capture_telemetry(
+            registry=registry, collector=collector, events=log,
+            source=f"shard-{task.shard_id}",
+        ))
     finally:
         _reset_inherited_obs()
 

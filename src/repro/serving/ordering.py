@@ -4,7 +4,7 @@ Shards complete in whatever order the scheduler allows; callers of
 ``summarize_many`` are promised results in *input* order regardless.  This
 module is that guarantee: :func:`reassemble` takes the
 :class:`~repro.resilience.ItemOutcome` s of a batch in **any** order and
-rebuilds the exact :class:`~repro.resilience.BatchResult` the serial loop
+rebuilds the exact :class:`~repro.resilience.BatchResult` a serial run
 would have produced — reassembly is the permutation inverse of whatever
 completion order happened.
 
@@ -27,7 +27,7 @@ def reassemble(outcomes: Iterable[ItemOutcome], total: int) -> BatchResult:
 
     *outcomes* may arrive in any completion order; the result lists
     (summaries, quarantine entries, sanitization reports) come back
-    exactly as the serial loop would have appended them.
+    exactly as a serial run would have appended them.
     """
     slots: list[ItemOutcome | None] = [None] * total
     for outcome in outcomes:

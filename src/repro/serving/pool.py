@@ -1,47 +1,49 @@
-"""Sharded worker-pool execution of a summarization batch.
+"""The batch runner behind ``STMaker.summarize_many``.
 
-:func:`run_sharded` is the parallel twin of the serial loop in
-:meth:`repro.core.STMaker.summarize_many` (which delegates here when
-``workers > 1`` or a ``shard_size`` is given):
+:func:`run_sharded` is the only batch runner: ``summarize_many`` forwards
+every call here, and serial execution is simply its ``workers=1`` case
+(with no ``shard_size``).  The runner validates the options once, before
+admission (:func:`validate_pool_shape`, shared with
+:class:`~repro.server.ServerConfig`), then owns the batch in one place:
+the admission ticket, one :class:`~repro.obs.TraceContext` per item, the
+live progress tally, the ``summarize_many`` span, the
+``batch_start``/``batch_end`` events, and input-order reassembly
+(:func:`repro.serving.ordering.reassemble`).
 
-1. the batch is split into shards (:mod:`repro.serving.sharder`);
-2. each shard runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
-   worker, item by item through the **same**
-   ``STMaker._summarize_item`` code path the serial loop uses — retries,
-   sanitization, degradation and quarantine semantics are shared code,
-   not a reimplementation;
-3. every shard gets its **own** :class:`~repro.resilience.Deadline` of the
-   full budget (a slow shard cannot starve its siblings), and its items
-   land in the shared result via :func:`repro.serving.ordering.reassemble`,
-   so the output is in input order no matter the completion order.
+Items run through the one shard loop,
+:func:`repro.serving.executor.run_shard`, one
+:class:`~repro.serving.ShardTask` per shard:
 
-Observability: the pool emits ``shard_start``/``shard_end`` events around
-every shard, mirrors per-shard throughput into ``serving.shard.<id>.*``
-gauges (the run report's per-shard breakdown), and keeps the serial path's
-``batch_start``/``progress``/``batch_end`` stream intact, so dashboards
-built on the serial vocabulary keep working.
+* **serial** (``workers=1``, no ``shard_size``) — one task covering the
+  whole batch, run inline on the calling thread with no shard id, so it
+  emits no shard events, no ``"shard"`` span and no ``serving.*``
+  metrics;
+* ``executor="thread"`` (default) — shards on a
+  :class:`~concurrent.futures.ThreadPoolExecutor`; workers share the
+  trained model's memory for free.  Pure-Python stages serialize on the
+  GIL, so the wall-clock win comes from overlapping the *blocking*
+  portions of item latency (storage, map-service calls, injected chaos
+  latency).  It is also the only pool for unpicklable sleepers and
+  custom feature registries;
+* ``executor="process"`` — true multi-core for the CPU-bound
+  pure-Python pipeline, supervised by :mod:`repro.serving.supervisor`.
+  Workers rebuild the model from a versioned **city-model artifact**
+  (:mod:`repro.artifact`; auto-published to a temp file when no
+  ``artifact=`` path is given) and ship their telemetry home as a
+  :class:`~repro.obs.TelemetrySnapshot` that the parent merges.
 
-Two executors (``executor=``), one contract:
-
-* ``"thread"`` (default) — workers share the trained model's memory for
-  free.  Pure-Python stages serialize on the GIL, so the wall-clock win
-  comes from overlapping the *blocking* portions of item latency
-  (storage, map-service calls, injected chaos latency) — the shape
-  latency-bound production serving has.
-* ``"process"`` — true multi-core for the CPU-bound pure-Python
-  pipeline.  Workers rebuild the model from a versioned **city-model
-  artifact** (:mod:`repro.artifact`; auto-published to a session temp
-  file when no ``artifact=`` path is given) and ship their telemetry
-  home as a :class:`~repro.obs.TelemetrySnapshot` that the parent merges
-  (see :mod:`repro.serving.executor`).
-
-See ``docs/SERVING.md`` for the measured scaling profile of both.
+Every shard gets its **own** :class:`~repro.resilience.Deadline` of the
+full budget (a slow shard cannot starve its siblings).  Sharded runs emit
+``shard_start``/``shard_end`` events around every shard and mirror
+per-shard throughput into ``serving.shard.<id>.*`` gauges (the run
+report's per-shard breakdown).  See ``docs/SERVING.md`` for the measured
+scaling profile of both executors.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import dataclasses
 import functools
 import threading
 import time
@@ -54,40 +56,58 @@ from repro.obs import (
     apply_telemetry,
     emit_event,
     events,
+    events_enabled,
     get_collector,
     metrics,
     metrics_enabled,
     span,
     start_trace,
+    tracing_enabled,
     use_trace,
 )
 from repro.obs.metrics import MetricsRegistry, scoped_metrics
-from repro.resilience import (
-    BatchProgress,
-    BatchResult,
-    Deadline,
-    ItemOutcome,
-    RetryPolicy,
-)
+from repro.resilience import BatchProgress, BatchResult, ItemOutcome, RetryPolicy
 from repro.serving.breaker import CircuitBreaker, get_breaker
 from repro.serving.executor import (
     EXECUTORS,
     ShardResult,
-    build_shard_tasks,
+    ShardTask,
     check_process_compatible,
+    run_shard,
 )
 from repro.serving.ordering import reassemble
-from repro.serving.sharder import Shard, plan_shards
-from repro.serving.supervisor import (
-    ShardRetryPolicy,
-    run_shard_local,
-    supervise_process_shards,
-)
+from repro.serving.sharder import SHARD_MODES, plan_shards
+from repro.serving.supervisor import ShardRetryPolicy, supervise_process_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.summarizer import STMaker
     from repro.serving.admission import AdmissionController, AdmissionPolicy
     from repro.trajectory import RawTrajectory, SanitizerConfig
+
+
+def validate_pool_shape(
+    *,
+    workers: int,
+    shard_size: int | None,
+    shard_mode: str,
+    executor: str,
+    artifact: str | None = None,
+) -> None:
+    """Raise :class:`~repro.exceptions.ConfigError` for a bad pool shape."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if shard_size is not None and shard_size < 1:
+        raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
+    if shard_mode not in SHARD_MODES:
+        raise ConfigError(
+            f"unknown shard mode {shard_mode!r}; expected one of {SHARD_MODES}"
+        )
+    if executor not in EXECUTORS:
+        raise ConfigError(
+            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
+        )
+    if artifact is not None and executor != "process":
+        raise ConfigError("artifact= is only used with executor='process'")
 
 
 class _ProgressBoard:
@@ -161,9 +181,10 @@ def run_sharded(
     tenant: str | None = None,
     priority: int = 0,
 ) -> BatchResult:
-    """Summarize *items* on a pool of *workers*, shard by shard.
+    """Summarize *items*, serially or on a pool of *workers*, shard by shard.
 
-    Semantics match ``summarize_many(workers=1)`` element-wise — same
+    ``workers=1`` with no ``shard_size`` is the serial case: one task run
+    inline.  Otherwise the results match it element-wise — same
     summaries, same degradation reports, same quarantine entries, in the
     same input order (the differential suite pins this, for both
     executors).  The only intentional divergence is the deadline: each
@@ -190,22 +211,27 @@ def run_sharded(
     (may raise :class:`~repro.exceptions.OverloadError`, or override
     ``k`` under ``shed="degrade"``) and caps the supervisor's in-flight
     window via its ``max_in_flight_shards``; *tenant*/*priority* feed
-    its budget and bypass hooks.
+    its budget and bypass hooks.  Options are validated before
+    admission, so a :class:`~repro.exceptions.ConfigError` never holds
+    budget.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if executor not in EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    if artifact is not None and executor != "process":
-        raise ConfigError("artifact= is only used with executor='process'")
+    validate_pool_shape(
+        workers=workers, shard_size=shard_size, shard_mode=shard_mode,
+        executor=executor, artifact=artifact,
+    )
     items = list(items)
-    retry = retry or RetryPolicy()
-    if breaker is True:
-        breaker = get_breaker(f"serving.{executor}")
-    elif breaker is False:
-        breaker = None
+    serial = workers == 1 and shard_size is None
+    keys = None
+    if shard_mode == "hashed":
+        key_of = shard_key or (lambda raw: raw.trajectory_id)
+        keys = [key_of(raw) for raw in items]
+    shards = plan_shards(
+        len(items),
+        mode=shard_mode,
+        num_shards=None if shard_size is not None else workers,
+        shard_size=shard_size,
+        keys=keys,
+    )
     ticket = None
     admission_wait_s = 0.0
     if admission is not None:
@@ -221,130 +247,63 @@ def run_sharded(
     # whichever thread or process eventually serves the item.
     batch_anchor_unix = time.time()
     traces = [start_trace(anchor_unix_s=batch_anchor_unix) for _ in items]
-    max_in_flight = (
-        admission.max_in_flight_shards if admission is not None else None
-    )
-    keys = None
-    if shard_mode == "hashed":
-        key_of = shard_key or (lambda raw: raw.trajectory_id)
-        keys = [key_of(raw) for raw in items]
-    shards = plan_shards(
-        len(items),
-        mode=shard_mode,
-        num_shards=None if shard_size is not None else workers,
-        shard_size=shard_size,
-        keys=keys,
-    )
+    tasks = [
+        ShardTask(
+            shard_id=None if serial else shard.shard_id,
+            indices=shard.indices,
+            items=tuple(items[index] for index in shard.indices),
+            traces=tuple(traces[index] for index in shard.indices),
+            k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
+            strict=strict, retry=retry or RetryPolicy(),
+            deadline_s=deadline_s, sleeper=sleeper,
+            admission_wait_s=admission_wait_s,
+        )
+        for shard in shards
+    ]
     m = metrics()
     m.counter("resilience.batch.calls").inc()
-    m.counter("serving.batch.calls").inc()
-    m.gauge("serving.workers").set(workers)
-    m.gauge("serving.shards").set(len(shards))
-    emit_event(
-        "batch_start", items=len(items), k=k,
-        workers=workers, shards=len(shards), shard_mode=shard_mode,
-    )
+    # A serial run reports no pool shape: its telemetry reads as a batch
+    # that was never sharded.
+    start_tags: dict[str, object] = {}
+    span_tags: dict[str, object] = {}
+    end_tags: dict[str, object] = {}
+    if not serial:
+        m.counter("serving.batch.calls").inc()
+        m.gauge("serving.workers").set(workers)
+        m.gauge("serving.shards").set(len(shards))
+        shape = {"workers": workers, "shards": len(shards)}
+        start_tags = {**shape, "shard_mode": shard_mode}
+        span_tags = {**shape, "executor": executor}
+        end_tags = {"shards": len(shards)}
+    emit_event("batch_start", items=len(items), k=k, **start_tags)
     started = time.perf_counter()
     board = _ProgressBoard(len(items), progress)
-    # Thread-mode shards run on pool threads with an empty span stack; the
-    # link context (filled in once the batch span is live) re-parents each
-    # shard's spans under it so the trace tree never fragments per thread.
-    link: dict[str, TraceContext | None] = {"ctx": None}
-
-    def run_shard(shard: Shard) -> list[ItemOutcome]:
-        deadline = Deadline(deadline_s)
-        emit_event("shard_start", shard_id=shard.shard_id, items=len(shard))
-        shard_started = time.perf_counter()
-        outcomes: list[ItemOutcome] = []
-        ok = quarantined = 0
-        # The cross-process telemetry contract, run at the thread boundary
-        # today: each shard's item loop records counters/histograms into
-        # its own fresh registry, and the delta is merged into the shared
-        # registry when the shard ends.  A ProcessPoolExecutor worker will
-        # ship the same snapshot over pickle instead of sharing memory —
-        # same semantics, different transport (see repro.obs.aggregate).
-        shard_registry = MetricsRegistry() if metrics_enabled() else None
-        shard_scope = (
-            scoped_metrics(shard_registry)
-            if shard_registry is not None
-            else contextlib.nullcontext()
-        )
-        with use_trace(link["ctx"]), \
-                span("shard", shard_id=shard.shard_id, items=len(shard)):
-            with shard_scope:
-                for index in shard.indices:
-                    outcome = stmaker._summarize_item(
-                        index, items[index], k=k,
-                        sanitize=sanitize, sanitizer_config=sanitizer_config,
-                        strict=strict, retry=retry, deadline=deadline,
-                        sleeper=sleeper, shard_id=shard.shard_id,
-                        trace=traces[index],
-                        admission_wait_s=admission_wait_s,
-                    )
-                    outcomes.append(outcome)
-                    if outcome.summary is not None:
-                        ok += 1
-                    else:
-                        quarantined += 1
-                    board.note(outcome)
-        if shard_registry is not None:
-            m.merge_snapshot(shard_registry.snapshot())
-        duration_ms = (time.perf_counter() - shard_started) * 1000.0
-        rate = len(shard) / (duration_ms / 1000.0) if duration_ms > 0.0 else 0.0
-        prefix = f"serving.shard.{shard.shard_id}"
-        m.gauge(f"{prefix}.items").set(len(shard))
-        m.gauge(f"{prefix}.ok").set(ok)
-        m.gauge(f"{prefix}.quarantined").set(quarantined)
-        m.gauge(f"{prefix}.duration_ms").set(duration_ms)
-        m.gauge(f"{prefix}.items_per_s").set(rate)
-        emit_event(
-            "shard_end", shard_id=shard.shard_id, items=len(shard),
-            ok=ok, quarantined=quarantined,
-            duration_ms=duration_ms, items_per_s=rate,
-        )
-        return outcomes
-
-    all_outcomes: list[ItemOutcome] = []
     try:
-        with span(
-            "summarize_many", items=len(items), k=k,
-            workers=workers, shards=len(shards), executor=executor,
-        ) as sp:
-            batch_span_id = getattr(sp, "span_id", None)
-            if batch_span_id is not None:
-                link["ctx"] = TraceContext(
-                    trace_id=None,
-                    parent_span_id=batch_span_id,
-                    parent_depth=getattr(sp, "depth", 0),
-                )
-            if executor == "process":
-                all_outcomes = _run_shards_in_processes(
-                    stmaker, shards, items,
-                    artifact=artifact, k=k,
-                    sanitize=sanitize, sanitizer_config=sanitizer_config,
-                    strict=strict, retry=retry, deadline_s=deadline_s,
-                    sleeper=sleeper, workers=workers, board=board, m=m,
-                    shard_retry=shard_retry or ShardRetryPolicy(),
-                    breaker=breaker, max_in_flight=max_in_flight,
-                    traces=traces, admission_wait_s=admission_wait_s,
-                    graft_parent_id=batch_span_id,
-                )
+        with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
+            if serial:
+                results = [run_shard(stmaker, t, on_item=board.note) for t in tasks]
             else:
-                with ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-serving"
-                ) as pool:
-                    # In strict mode a worker raises; .result() re-raises the
-                    # first failure here after the executor drains, matching
-                    # the serial loop's raise-on-first-error contract.
-                    for outcomes in pool.map(run_shard, shards):
-                        all_outcomes.extend(outcomes)
-                        if isinstance(breaker, CircuitBreaker):
-                            # Thread shards cannot crash the pool; the record
-                            # keeps a shared breaker's volume honest when the
-                            # two executors alternate on one name.
-                            breaker.record_success()
+                if breaker is True:
+                    breaker = get_breaker(f"serving.{executor}")
+                pool_options = {
+                    "workers": workers, "board": board,
+                    "breaker": breaker or None, "batch_span": sp,
+                }
+                if executor == "process":
+                    results = _run_in_processes(
+                        stmaker, tasks, **pool_options,
+                        artifact=artifact, shard_retry=shard_retry,
+                        max_in_flight=(
+                            admission.max_in_flight_shards
+                            if admission is not None else None
+                        ),
+                    )
+                else:
+                    results = _run_in_threads(stmaker, tasks, **pool_options)
             reassembly_started = time.perf_counter()
-            result = reassemble(all_outcomes, len(items))
+            result = reassemble(
+                [outcome for sr in results for outcome in sr.outcomes], len(items)
+            )
             reassembly_s = time.perf_counter() - reassembly_started
             for lat in result.latencies:
                 if lat is not None:
@@ -357,26 +316,22 @@ def run_sharded(
     emit_event(
         "batch_end", ok=result.ok_count,
         quarantined=result.quarantined_count,
-        duration_ms=(time.perf_counter() - started) * 1000.0,
-        shards=len(shards),
+        duration_ms=(time.perf_counter() - started) * 1000.0, **end_tags,
     )
     return result
 
 
-def _fold_shard_result(
-    sr: ShardResult, board: _ProgressBoard, m,
-    graft_parent_id: int | None = None,
+def _publish_shard(
+    sr: ShardResult, m, graft_parent_id: int | None = None
 ) -> None:
-    """Merge one worker's ShardResult into the parent-side sinks.
+    """Fold one finished pool shard into the parent-side sinks.
 
-    The parent-side half of the telemetry contract: the worker's metric
-    delta merges into the live registry, its span batch grafts into the
-    live collector (worker-root spans attach under *graft_parent_id*,
-    the live batch span, so they join the parent's tree instead of
-    floating), its events relay onto the live bus, and the
-    ``serving.shard.<id>.*`` gauges are set here (gauges are last-write-
-    wins state, so they must be *set* parent-side, not merged as
-    offsets) — exactly where thread-mode shards set them.
+    A process worker's telemetry snapshot merges into the live registry,
+    its spans graft under *graft_parent_id* (the live batch span, so they
+    join the parent's tree instead of floating), and its events relay onto
+    the live bus.  The ``serving.shard.<id>.*`` gauges are set here for
+    every pool shard: gauges are last-write-wins state, so they must be
+    *set* parent-side, not merged as offsets.
     """
     if sr.telemetry is not None:
         apply_telemetry(
@@ -392,88 +347,117 @@ def _fold_shard_result(
     m.gauge(f"{prefix}.quarantined").set(sr.quarantined)
     m.gauge(f"{prefix}.duration_ms").set(sr.duration_ms)
     m.gauge(f"{prefix}.items_per_s").set(sr.items_per_s)
-    for outcome in sr.outcomes:
-        board.note(outcome)
 
 
-def _run_shards_in_processes(
+def _run_in_threads(
     stmaker: "STMaker",
-    shards: Sequence[Shard],
-    items: Sequence["RawTrajectory"],
+    tasks: Sequence[ShardTask],
     *,
-    artifact: str | None,
-    k: int | None,
-    sanitize: bool,
-    sanitizer_config: "SanitizerConfig | None",
-    strict: bool,
-    retry: RetryPolicy,
-    deadline_s: float | None,
-    sleeper: Callable[[float], None],
     workers: int,
     board: _ProgressBoard,
-    m,
-    shard_retry: ShardRetryPolicy,
-    breaker: "CircuitBreaker | None",
+    breaker: CircuitBreaker | None,
+    batch_span,
+) -> list[ShardResult]:
+    """Serve *tasks* on a thread pool sharing *stmaker*'s memory."""
+    m = metrics()
+    # Pool threads start with an empty span stack; the link context
+    # re-parents each shard's spans under the batch span so the trace
+    # tree never fragments per thread.
+    batch_span_id = getattr(batch_span, "span_id", None)
+    link = None if batch_span_id is None else TraceContext(
+        trace_id=None,
+        parent_span_id=batch_span_id,
+        parent_depth=getattr(batch_span, "depth", 0),
+    )
+
+    def serve(task: ShardTask) -> ShardResult:
+        # Each shard records counters/histograms into its own registry and
+        # merges the delta when it ends — the process workers' telemetry
+        # contract, run at the thread boundary.
+        registry = MetricsRegistry() if metrics_enabled() else None
+        with use_trace(link), (
+            scoped_metrics(registry) if registry is not None
+            else contextlib.nullcontext()
+        ):
+            sr = run_shard(stmaker, task, on_item=board.note)
+        if registry is not None:
+            m.merge_snapshot(registry.snapshot())
+        return sr
+
+    results: list[ShardResult] = []
+    with ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-serving"
+    ) as pool:
+        # In strict mode a worker raises; iterating re-raises the first
+        # failure in shard order, matching the serial raise-on-first-error
+        # contract.
+        for sr in pool.map(serve, tasks):
+            _publish_shard(sr, m)
+            results.append(sr)
+            if breaker is not None:
+                # Thread shards cannot crash the pool; the record keeps a
+                # shared breaker's volume honest when the two executors
+                # alternate on one name.
+                breaker.record_success()
+    return results
+
+
+def _run_in_processes(
+    stmaker: "STMaker",
+    tasks: Sequence[ShardTask],
+    *,
+    workers: int,
+    board: _ProgressBoard,
+    breaker: CircuitBreaker | None,
+    batch_span,
+    artifact: str | None,
+    shard_retry: ShardRetryPolicy | None,
     max_in_flight: int | None,
-    traces: Sequence[TraceContext] | None = None,
-    admission_wait_s: float = 0.0,
-    graft_parent_id: int | None = None,
-) -> list[ItemOutcome]:
-    """Serve *shards* on a supervised ProcessPoolExecutor.
+) -> list[ShardResult]:
+    """Serve *tasks* on a supervised ProcessPoolExecutor.
 
     The supervisor (:mod:`repro.serving.supervisor`) owns the pool:
     worker death never surfaces as ``BrokenProcessPool`` here — lost
-    shards are retried, bisected, and at worst quarantined under
-    *shard_retry*, while completed shards fold in completion order
-    (:func:`reassemble` restores item order regardless).  In strict mode
-    the first worker-raised item error still propagates unchanged.
+    shards are retried, bisected, and at worst quarantined, while
+    completed shards fold in completion order (the runner's reassembly
+    restores item order regardless).  In strict mode the first
+    worker-raised item error still propagates unchanged.  The installed
+    fault injector travels as its recipe ``(specs, seed)`` and every
+    worker arms a fresh one from it; see ``docs/SERVING.md`` for what that
+    means for bounded (``times=N``) specs.
     """
     from repro.artifact import artifact_info, ensure_artifact
 
-    check_process_compatible(stmaker, sleeper)
+    if tasks:
+        check_process_compatible(stmaker, tasks[0].sleeper)
     info = artifact_info(artifact) if artifact is not None else ensure_artifact(stmaker)
-    tasks = build_shard_tasks(
-        stmaker, shards, items,
-        artifact_path=info.path, fingerprint=info.fingerprint,
-        k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
-        strict=strict, retry=retry, deadline_s=deadline_s, sleeper=sleeper,
-        traces=traces, admission_wait_s=admission_wait_s,
-    )
-    all_outcomes: list[ItemOutcome] = []
+    injector = stmaker.fault_injector
+    shipped = {
+        "artifact_path": info.path,
+        "fingerprint": info.fingerprint,
+        "fault_specs": () if injector is None else injector.specs,
+        "fault_seed": 0 if injector is None else injector.seed,
+        "want_metrics": metrics_enabled(),
+        "want_spans": tracing_enabled(),
+        "want_events": events_enabled(),
+    }
+    m = metrics()
+    graft_parent_id = getattr(batch_span, "span_id", None)
+    results: list[ShardResult] = []
 
     def fold(sr: ShardResult) -> None:
-        _fold_shard_result(sr, board, m, graft_parent_id=graft_parent_id)
-        all_outcomes.extend(sr.outcomes)
+        _publish_shard(sr, m, graft_parent_id)
+        for outcome in sr.outcomes:
+            board.note(outcome)
+        results.append(sr)
 
     supervise_process_shards(
-        tasks,
+        [dataclasses.replace(task, **shipped) for task in tasks],
         workers=workers,
-        policy=shard_retry,
+        policy=shard_retry or ShardRetryPolicy(),
         fold=fold,
-        local_runner=functools.partial(run_shard_local, stmaker),
+        local_runner=functools.partial(run_shard, stmaker, degraded=True),
         breaker=breaker,
         max_in_flight=max_in_flight,
-        deadline_s=deadline_s,
-        sleeper=sleeper,
-        strict=strict,
     )
-    return all_outcomes
-
-
-async def run_sharded_async(
-    stmaker: "STMaker",
-    items: Sequence["RawTrajectory"],
-    k: int | None = None,
-    **kwargs: object,
-) -> BatchResult:
-    """``await``-able wrapper around :func:`run_sharded`.
-
-    The pool (and its blocking shard work) runs on a worker thread via the
-    running loop's default executor, so an asyncio front-end (an aiohttp
-    handler, a queue consumer) can serve batches without blocking its
-    event loop.  Accepts the same keyword arguments as :func:`run_sharded`.
-    """
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(
-        None, functools.partial(run_sharded, stmaker, items, k, **kwargs)
-    )
+    return results

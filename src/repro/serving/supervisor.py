@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from concurrent.futures import ProcessPoolExecutor
@@ -61,13 +60,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigError, WorkerCrashError
-from repro.obs import emit_event, events_enabled, metrics, span
-from repro.resilience import (
-    Deadline,
-    ItemOutcome,
-    LatencyBreakdown,
-    QuarantineEntry,
-)
+from repro.obs import emit_event, events_enabled, metrics
+from repro.resilience import ItemOutcome, LatencyBreakdown, QuarantineEntry
 from repro.serving.executor import (
     ShardResult,
     ShardTask,
@@ -76,7 +70,6 @@ from repro.serving.executor import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.summarizer import STMaker
     from repro.serving.breaker import CircuitBreaker
 
 
@@ -149,55 +142,6 @@ class _Unit:
         self.attempts = attempts
 
 
-def run_shard_local(stmaker: "STMaker", task: ShardTask) -> ShardResult:
-    """Serve one shard in the parent process (the degraded path).
-
-    Same items, same ``STMaker._summarize_item`` semantics, no process
-    isolation: telemetry records into the live parent registry (so the
-    returned result carries ``telemetry=None`` — nothing to merge), and
-    crash-grade faults raise :class:`WorkerCrashError` instead of dying,
-    which quarantines the poison item exactly as the serial path would.
-    """
-    sleeper = task.sleeper if task.sleeper is not None else time.sleep
-    deadline = Deadline(task.deadline_s)
-    emit_event(
-        "shard_start", shard_id=task.shard_id, items=len(task.items),
-        degraded=True,
-    )
-    started = time.perf_counter()
-    outcomes: list[ItemOutcome] = []
-    ok = quarantined = 0
-    with span("shard", shard_id=task.shard_id, items=len(task.items), degraded=True):
-        for offset, (index, raw) in enumerate(zip(task.indices, task.items)):
-            outcome = stmaker._summarize_item(
-                index, raw, k=task.k,
-                sanitize=task.sanitize, sanitizer_config=task.sanitizer_config,
-                strict=task.strict, retry=task.retry,
-                deadline=deadline, sleeper=sleeper, shard_id=task.shard_id,
-                trace=(
-                    task.traces[offset] if offset < len(task.traces) else None
-                ),
-                admission_wait_s=task.admission_wait_s,
-            )
-            outcomes.append(outcome)
-            if outcome.summary is not None:
-                ok += 1
-            else:
-                quarantined += 1
-    duration_ms = (time.perf_counter() - started) * 1000.0
-    rate = len(task.items) / (duration_ms / 1000.0) if duration_ms > 0.0 else 0.0
-    emit_event(
-        "shard_end", shard_id=task.shard_id, items=len(task.items),
-        ok=ok, quarantined=quarantined,
-        duration_ms=duration_ms, items_per_s=rate, degraded=True,
-    )
-    return ShardResult(
-        shard_id=task.shard_id, outcomes=tuple(outcomes),
-        ok=ok, quarantined=quarantined,
-        duration_ms=duration_ms, items_per_s=rate, telemetry=None,
-    )
-
-
 def supervise_process_shards(
     tasks: Sequence[ShardTask],
     *,
@@ -207,21 +151,23 @@ def supervise_process_shards(
     local_runner: Callable[[ShardTask], ShardResult],
     breaker: "CircuitBreaker | None" = None,
     max_in_flight: int | None = None,
-    deadline_s: float | None = None,
-    sleeper: Callable[[float], None] = time.sleep,
-    strict: bool = False,
 ) -> None:
     """Run *tasks* on supervised worker processes; deliver results via *fold*.
 
     Completes every task exactly once — as a worker result, a degraded
-    in-parent result (breaker open), or a synthesized crash-quarantine
-    result — no matter how many workers die on the way.  Worker
-    exceptions that are *not* pool breakage (strict-mode item errors,
-    genuine bugs) propagate to the caller unchanged.  See the module
-    docstring for the containment model.
+    in-parent result (*local_runner*, while the breaker is open), or a
+    synthesized crash-quarantine result — no matter how many workers die
+    on the way.  Worker exceptions that are *not* pool breakage
+    (strict-mode item errors, genuine bugs) propagate to the caller
+    unchanged.  The batch-wide options (deadline, sleeper, strictness)
+    are read off the tasks, which all carry the same ones.  See the
+    module docstring for the containment model.
     """
+    if not tasks:
+        return
+    deadline_s, sleeper, strict = tasks[0].deadline_s, tasks[0].sleeper, tasks[0].strict
     queue: deque[_Unit] = deque(_Unit(task) for task in tasks)
-    next_shard_id = max((t.shard_id for t in tasks), default=-1) + 1
+    next_shard_id = max(t.shard_id for t in tasks) + 1
     pending: dict[Future, _Unit] = {}
     serialize = False
     m = metrics()
@@ -431,12 +377,11 @@ def _synthesize_crash_result(unit: _Unit, message: str) -> ShardResult:
             index=index, error_type="WorkerCrashError",
             attempts=unit.attempts, error=message,
         )
-        trace = unit.task.traces[offset] if offset < len(unit.task.traces) else None
         # The worker died with the item's timings; what survives is the
         # request identity, the admission wait, and how many times the
         # supervisor charged the shard.
         breakdown = LatencyBreakdown(
-            trace_id=None if trace is None else trace.trace_id,
+            trace_id=unit.task.traces[offset].trace_id,
             admission_wait_s=unit.task.admission_wait_s,
             attempts=unit.attempts,
         )

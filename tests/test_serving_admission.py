@@ -215,6 +215,27 @@ class TestAdmissionIntegration:
         assert ctrl.queued_items == 0
         assert ctrl.queued_for("acme") == 0
 
+    def test_config_errors_release_no_budget(self, scenario, trips):
+        """A rejected option leaves the admission budget untouched."""
+        ctrl = AdmissionController(AdmissionPolicy(max_queued_items=4))
+        batch = trips[:2]
+        bad_options = (
+            {"shard_mode": "bogus", "workers": 2},
+            {"shard_size": 0},
+            {"executor": "ray"},
+            {"artifact": "model.bin"},
+        )
+        for options in bad_options:
+            with pytest.raises(ConfigError):
+                scenario.stmaker.summarize_many(
+                    batch, k=2, admission=ctrl, **options
+                )
+            assert ctrl.queued_items == 0, options
+        served = scenario.stmaker.summarize_many(
+            trips[:4], k=2, workers=2, admission=ctrl
+        )
+        assert served.ok_count == 4
+
     def test_max_in_flight_caps_supervisor_window(self, scenario, trips):
         """A 1-shard window serializes the pool but changes no results."""
         ctrl = AdmissionController(

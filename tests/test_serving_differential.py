@@ -256,21 +256,6 @@ def test_parallel_strict_mode_identical_on_clean_corpus(stmaker, corpus):
     assert serial.quarantined_count == 0
 
 
-def test_async_wrapper_equals_serial(stmaker, corpus):
-    import asyncio
-
-    from repro.serving import run_sharded_async
-
-    serial = stmaker.summarize_many(corpus, k=2)
-    parallel = asyncio.run(
-        run_sharded_async(
-            stmaker, corpus, 2, workers=WORKERS, shard_size=3,
-            executor=EXECUTOR,
-        )
-    )
-    assert_batches_identical(serial, parallel)
-
-
 def test_parallel_progress_callback_sees_every_item(stmaker, corpus):
     from repro.resilience import BatchProgress
 
@@ -287,6 +272,30 @@ def test_parallel_progress_callback_sees_every_item(stmaker, corpus):
     assert all(0.0 <= p.percent <= 100.0 for p in snapshots)
 
 
+def test_serial_run_reports_no_pool_shape(stmaker, corpus):
+    """``workers=1`` telemetry reads as a batch that was never sharded."""
+    from repro import obs
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = obs.enable_metrics(MetricsRegistry())
+    collector = obs.enable_tracing()
+    log = obs.EventLog()
+    obs.enable_events().subscribe(log)
+    result = stmaker.summarize_many(corpus, k=2)
+    assert result.quarantined  # provenance of a serial verdict: no shard
+    assert {entry.shard_id for entry in result.quarantined} == {None}
+    assert not log.events("shard_start") and not log.events("shard_end")
+    (batch_start,) = log.events("batch_start")
+    assert set(batch_start.payload) == {"items", "k"}
+    (batch_end,) = log.events("batch_end")
+    assert "shards" not in batch_end.payload
+    names = [s["name"] for s in collector.to_dicts()]
+    assert "shard" not in names
+    (batch_span,) = [s for s in collector.to_dicts() if s["name"] == "summarize_many"]
+    assert {"workers", "shards", "executor"}.isdisjoint(batch_span["tags"])
+    assert not [n for n in registry.names() if n.startswith("serving.")]
+
+
 def test_hashed_mode_accepts_custom_shard_key(stmaker, corpus):
     from repro.serving import run_sharded
 
@@ -300,6 +309,7 @@ def test_hashed_mode_accepts_custom_shard_key(stmaker, corpus):
 
 
 def test_pool_rejects_zero_workers(stmaker, corpus):
+    """Pool-shape options are validated the same for serial and pool."""
     from repro.exceptions import ConfigError
     from repro.serving import run_sharded
 
@@ -307,6 +317,16 @@ def test_pool_rejects_zero_workers(stmaker, corpus):
         run_sharded(stmaker, corpus, 2, workers=0)
     with pytest.raises(ConfigError):
         stmaker.summarize_many(corpus, k=2, workers=0)
+    bad_options = (
+        {"executor": "ray"},
+        {"shard_mode": "bogus"},
+        {"shard_size": 0},
+        {"artifact": "model.bin"},  # requires executor="process"
+    )
+    for workers in (1, 2):
+        for options in bad_options:
+            with pytest.raises(ConfigError):
+                stmaker.summarize_many(corpus, k=2, workers=workers, **options)
 
 
 def test_parallel_strict_mode_raises_like_serial(stmaker, corpus):

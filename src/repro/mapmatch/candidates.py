@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geo import GeoPoint, point_segment_distance_m
+from repro.geo import GeoPoint
 from repro.roadnet import EdgeId, RoadNetwork
 
 
@@ -28,13 +28,8 @@ def candidates_for_point(
     max_candidates: int,
 ) -> list[Candidate]:
     """The *max_candidates* nearest edges within *radius_m* of *point*."""
-    hits = network.edges_near(point, radius_m)
-    hits.sort(key=lambda pair: pair[0])
-    out = []
-    for dist, edge in hits[:max_candidates]:
-        _, fraction = point_segment_distance_m(
-            point, network.node(edge.u).point, network.node(edge.v).point,
-            network.projector,
-        )
-        out.append(Candidate(edge.edge_id, fraction, dist))
-    return out
+    hits = sorted(network._project_near(point, radius_m), key=lambda hit: hit[0])
+    return [
+        Candidate(edge.edge_id, fraction, dist)
+        for dist, fraction, edge in hits[:max_candidates]
+    ]

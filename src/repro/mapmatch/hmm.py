@@ -6,9 +6,13 @@ penalize the difference between on-network route distance and straight-line
 distance (drivers rarely detour between consecutive samples).  Viterbi
 decoding yields the most probable road sequence.
 
-Route distances between consecutive candidates are computed with bounded
-Dijkstra searches launched from the distinct exit nodes of the current
-candidate set, which keeps matching fast on city-length trajectories.
+Route distances between consecutive candidates come from bounded Dijkstra
+searches launched from the distinct exit nodes of the current candidate set.
+Each stage pair's route matrix is computed once, both to detect chain breaks
+and to drive the Viterbi step.  Within one ``match`` call a node's search
+tree is reused for any later pair whose bound is no larger: a bounded search
+settles nodes in the same order, with the same float sums, as a larger-bound
+one, so dropping the entries beyond the smaller bound is exact.
 """
 
 from __future__ import annotations
@@ -151,21 +155,24 @@ class HMMMapMatcher:
         if not stages:
             raise MapMatchError("no sample lies near any road")
 
+        # Search trees by source node, as (bound, costs); local to this call.
+        trees: dict[NodeId, tuple[float, dict[NodeId, float]]] = {}
         matched: list[MatchedPoint] = []
         chain_start = 0
-        k = 1
-        while k <= len(stages):
-            if k == len(stages):
-                matched.extend(self._decode(points, stages[chain_start:k]))
-                break
-            feasible = self._viterbi_step_feasible(
-                points, stages[k - 1], stages[k]
+        steps: list[tuple[float, list[list[float]]]] = []
+        for k in range(1, len(stages)):
+            (ia, cands_a), (ib, cands_b) = stages[k - 1], stages[k]
+            straight = self.network.projector.distance_m(
+                points[ia].point, points[ib].point
             )
-            if not feasible:
-                matched.extend(self._decode(points, stages[chain_start:k]))
-                breaks.append(stages[k][0])
-                chain_start = k
-            k += 1
+            matrix = self._route_distances(cands_a, cands_b, straight, trees)
+            if any(cell < math.inf for row in matrix for cell in row):
+                steps.append((straight, matrix))
+            else:
+                matched.extend(self._decode(stages[chain_start:k], steps))
+                breaks.append(ib)
+                chain_start, steps = k, []
+        matched.extend(self._decode(stages[chain_start:], steps))
         matched.sort(key=lambda m: m.point_index)
         return MatchResult(matched, sorted(set(breaks)))
 
@@ -183,8 +190,13 @@ class HMMMapMatcher:
         from_cands: list[Candidate],
         to_cands: list[Candidate],
         straight_m: float,
+        trees: dict[NodeId, tuple[float, dict[NodeId, float]]],
     ) -> list[list[float]]:
-        """Route distance matrix between two candidate sets (inf = no route)."""
+        """Route distance matrix between two candidate sets (inf = no route).
+
+        *trees* caches search trees across calls; a tree searched to a
+        larger bound serves this one with its costs beyond the bound dropped.
+        """
         network = self.network
         bound = self.config.route_bound_scale * straight_m + self.config.route_bound_slack_m
 
@@ -199,9 +211,10 @@ class HMMMapMatcher:
             exits.append(options)
             exit_nodes.update(node for node, _ in options)
 
-        costs_from = {
-            node: dijkstra_all(network, node, max_cost=bound) for node in exit_nodes
-        }
+        for node in exit_nodes:
+            tree = trees.get(node)
+            if tree is None or tree[0] < bound:
+                trees[node] = (bound, dijkstra_all(network, node, max_cost=bound))
 
         # Entry options per to-candidate: (node, cost from that node).
         entries: list[list[tuple[NodeId, float]]] = []
@@ -223,49 +236,32 @@ class HMMMapMatcher:
                     if edge_a.direction is TrafficDirection.TWO_WAY or delta >= 0.0:
                         best = abs(delta) * edge_a.length_m
                 for exit_node, exit_cost in exit_opts:
-                    from_costs = costs_from[exit_node]
+                    from_costs = trees[exit_node][1]
                     for entry_node, entry_cost in entry_opts:
                         mid = from_costs.get(entry_node)
-                        if mid is None:
+                        if mid is None or mid > bound:
                             continue
                         best = min(best, exit_cost + mid + entry_cost)
                 row.append(best)
             matrix.append(row)
         return matrix
 
-    def _viterbi_step_feasible(
-        self,
-        points: Sequence[TrajectoryPoint],
-        stage_a: tuple[int, list[Candidate]],
-        stage_b: tuple[int, list[Candidate]],
-    ) -> bool:
-        ia, cands_a = stage_a
-        ib, cands_b = stage_b
-        straight = self.network.projector.distance_m(
-            points[ia].point, points[ib].point
-        )
-        matrix = self._route_distances(cands_a, cands_b, straight)
-        return any(
-            cell < math.inf for row in matrix for cell in row
-        )
-
     def _decode(
         self,
-        points: Sequence[TrajectoryPoint],
         stages: list[tuple[int, list[Candidate]]],
+        steps: list[tuple[float, list[list[float]]]],
     ) -> list[MatchedPoint]:
-        """Viterbi over one unbroken chain of stages."""
-        if not stages:
-            return []
-        first_idx, first_cands = stages[0]
+        """Viterbi over one unbroken chain of stages.
+
+        ``steps[k]`` is ``(straight_m, route matrix)`` from stage k to k + 1.
+        """
+        first_cands = stages[0][1]
         scores = [self._emission_logp(c) for c in first_cands]
         backptr: list[list[int]] = [[-1] * len(first_cands)]
 
-        for (ia, cands_a), (ib, cands_b) in zip(stages, stages[1:]):
-            straight = self.network.projector.distance_m(
-                points[ia].point, points[ib].point
-            )
-            matrix = self._route_distances(cands_a, cands_b, straight)
+        for (_, cands_a), (_, cands_b), (straight, matrix) in zip(
+            stages, stages[1:], steps
+        ):
             new_scores: list[float] = []
             pointers: list[int] = []
             for j, cand_b in enumerate(cands_b):

@@ -2,8 +2,9 @@
 
 Edges are stored once with a :class:`TrafficDirection`; a two-way edge is
 traversable in both directions, a one-way edge only from ``u`` to ``v``.
-All metric queries (nearest node / nearest edge) are served by grid indexes
-built lazily on first use and invalidated on mutation.
+All metric queries (nearest node / nearest edge) are served by grid indexes,
+and ``out_edges`` by a directed adjacency; all are built lazily on first use
+and invalidated on mutation.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class RoadEdge:
 class _Indexes:
     node_grid: GridIndex[NodeId] | None = None
     edge_grid: GridIndex[EdgeId] | None = None
+    out_edges: dict[NodeId, tuple[tuple[RoadEdge, NodeId], ...]] | None = None
+    max_edge_length_m: float | None = None
 
 
 class RoadNetwork:
@@ -174,14 +177,26 @@ class RoadNetwork:
         self.node(node_id)
         return [self._edges[eid] for eid in self._adjacency[node_id]]
 
-    def out_edges(self, node_id: NodeId) -> list[tuple[RoadEdge, NodeId]]:
-        """Edges traversable *from* ``node_id``, as ``(edge, neighbour)``."""
-        out = []
-        for edge in self.incident_edges(node_id):
-            other = edge.other_end(node_id)
-            if edge.allows(node_id, other):
-                out.append((edge, other))
-        return out
+    def out_edges(self, node_id: NodeId) -> tuple[tuple[RoadEdge, NodeId], ...]:
+        """Edges traversable *from* ``node_id``, as ``(edge, neighbour)``.
+
+        The tuple is cached until the next mutation; callers share it.
+        """
+        if self._indexes.out_edges is None:
+            adjacency = {}
+            for nid, eids in self._adjacency.items():
+                out = []
+                for eid in eids:
+                    edge = self._edges[eid]
+                    other = edge.other_end(nid)
+                    if edge.allows(nid, other):
+                        out.append((edge, other))
+                adjacency[nid] = tuple(out)
+            self._indexes.out_edges = adjacency
+        try:
+            return self._indexes.out_edges[node_id]
+        except KeyError:
+            raise RoadNetworkError(f"unknown node id {node_id}") from None
 
     def neighbors(self, node_id: NodeId) -> list[NodeId]:
         """Node ids reachable from *node_id* in one hop."""
@@ -223,9 +238,11 @@ class RoadNetwork:
         return self._indexes.edge_grid
 
     def _max_edge_length(self) -> float:
-        if not self._edges:
-            return 0.0
-        return max(e.length_m for e in self._edges.values())
+        if self._indexes.max_edge_length_m is None:
+            self._indexes.max_edge_length_m = max(
+                (e.length_m for e in self._edges.values()), default=0.0
+            )
+        return self._indexes.max_edge_length_m
 
     def nearest_node(self, point: GeoPoint, max_radius_m: float = 5_000.0) -> RoadNode | None:
         """The node closest to *point* within *max_radius_m*."""
@@ -244,16 +261,24 @@ class RoadNetwork:
 
         Returns ``(perpendicular_distance_m, edge)`` pairs, unsorted.
         """
+        return [(dist, edge) for dist, _, edge in self._project_near(point, radius_m)]
+
+    def _project_near(
+        self, point: GeoPoint, radius_m: float
+    ) -> Iterator[tuple[float, float, RoadEdge]]:
+        """``(distance_m, fraction, edge)`` for each edge within *radius_m*.
+
+        ``fraction`` locates the projection of *point* along the edge from
+        ``u`` toward ``v``.
+        """
         scan = radius_m + self._max_edge_length() / 2.0 + 1.0
-        out: list[tuple[float, RoadEdge]] = []
         for _, eid in self._edge_grid().query_radius(point, scan):
             edge = self._edges[eid]
-            dist, _ = point_segment_distance_m(
+            dist, fraction = point_segment_distance_m(
                 point, self._nodes[edge.u].point, self._nodes[edge.v].point, self.projector
             )
             if dist <= radius_m:
-                out.append((dist, edge))
-        return out
+                yield dist, fraction, edge
 
     def nearest_edge(
         self, point: GeoPoint, max_radius_m: float = 500.0

@@ -147,3 +147,46 @@ class TestSpatialQueries:
     def test_bounding_box_covers_grid(self, micro_network, projector):
         box = micro_network.bounding_box()
         assert box.contains(projector.to_point(500.0, 500.0))
+
+
+class TestCachedIndexes:
+    """``out_edges`` and ``edges_near`` answer from caches reset on mutation."""
+
+    def test_queries_see_an_edge_added_after_the_first_query(self):
+        projector = LocalProjector(CENTER)
+        net = RoadNetwork(projector)
+        net.add_node(projector.to_point(0.0, 0.0))
+        net.add_node(projector.to_point(100.0, 0.0))
+        net.add_node(projector.to_point(100.0, 3_000.0))
+        net.add_edge(0, 1, RoadGrade.FEEDER, 5.0, TrafficDirection.TWO_WAY, "short")
+        probe = projector.to_point(110.0, 100.0)
+        assert [other for _, other in net.out_edges(1)] == [0]
+        assert net.edges_near(probe, 50.0) == []
+        # Far longer than the cached max edge length: its midpoint lies
+        # ~1.4 km from the probe, beyond a scan sized by the stale maximum.
+        long_edge = net.add_edge(1, 2, RoadGrade.FEEDER, 5.0, TrafficDirection.ONE_WAY, "long")
+        assert [other for _, other in net.out_edges(1)] == [0, 2]
+        assert net.out_edges(2) == ()
+        assert [e for _, e in net.edges_near(probe, 50.0)] == [long_edge]
+
+    def test_out_edges_is_an_immutable_shared_tuple(self, micro_network):
+        out = micro_network.out_edges(4)
+        assert isinstance(out, tuple)
+        assert micro_network.out_edges(4) is out
+        with pytest.raises(AttributeError):
+            out.append(out[0])  # type: ignore[attr-defined]
+        with pytest.raises(TypeError):
+            out[0] = out[1]  # type: ignore[index]
+        assert sorted(other for _, other in micro_network.out_edges(4)) == [3, 5, 7]
+
+    def test_out_edges_of_unknown_node_raises(self, micro_network):
+        with pytest.raises(RoadNetworkError):
+            micro_network.out_edges(99)
+        with pytest.raises(RoadNetworkError):
+            RoadNetwork(LocalProjector(CENTER)).out_edges(0)
+
+    def test_edges_near_on_edgeless_network(self):
+        net = RoadNetwork(LocalProjector(CENTER))
+        assert net.edges_near(CENTER, 100.0) == []
+        net.add_node(CENTER)
+        assert net.edges_near(CENTER, 100.0) == []

@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NoPathError
 from repro.geo import GeoPoint, LocalProjector
@@ -103,6 +105,39 @@ class TestAgainstNetworkx:
         assert set(pruned) <= set(full)
         assert all(cost <= 1_000.0 for cost in pruned.values())
         assert len(pruned) < len(full)
+
+
+class TestBoundedTreeReuse:
+    """A search to bound b is exactly the part of a bound-B search within b.
+
+    The map matcher relies on this to serve a smaller-bound request from a
+    cached larger-bound tree, so the check is exact float equality.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        source=st.integers(min_value=0, max_value=10_000),
+        large=st.floats(min_value=0.0, max_value=6_000.0),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_smaller_bound_is_a_prefix(self, city, source, large, share):
+        node = city.node_ids()[source % city.node_count]
+        small = large * share
+        tree = dijkstra_all(city, node, max_cost=large)
+        assert {n: d for n, d in tree.items() if d <= small} == dijkstra_all(
+            city, node, max_cost=small
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(source=st.integers(min_value=0, max_value=10_000), data=st.data())
+    def test_bound_equal_to_a_settled_cost(self, city, source, data):
+        # Ties at the bound: b is exactly a cost the larger search settled.
+        node = city.node_ids()[source % city.node_count]
+        tree = dijkstra_all(city, node, max_cost=4_000.0)
+        small = data.draw(st.sampled_from(sorted(tree.values())))
+        assert {n: d for n, d in tree.items() if d <= small} == dijkstra_all(
+            city, node, max_cost=small
+        )
 
 
 class TestAStar:

@@ -8,6 +8,8 @@ landmarks, transfer network, feature map, configuration) into a single
 remote shard, or tomorrow's serving job can rebuild the exact model the
 parent trained without re-training or sharing memory:
 
+* :func:`stmaker_to_dict` / :func:`stmaker_from_dict` — the versioned
+  dict schema both codecs carry;
 * :func:`save_artifact` / :func:`load_artifact` — write/read an artifact
   in either the legacy JSON format or a compact binary format
   (pickle protocol 5 of the same versioned dict schema).  Writes are
@@ -39,6 +41,8 @@ from repro.artifact.store import (
     ensure_artifact,
     load_artifact,
     save_artifact,
+    stmaker_from_dict,
+    stmaker_to_dict,
 )
 
 __all__ = [
@@ -53,4 +57,6 @@ __all__ = [
     "ensure_artifact",
     "load_artifact",
     "save_artifact",
+    "stmaker_from_dict",
+    "stmaker_to_dict",
 ]

@@ -1,7 +1,7 @@
 """Artifact codecs, fingerprints, atomic IO, and the per-process cache.
 
 The on-disk schema is the versioned dict produced by
-:func:`repro.core.persistence.stmaker_to_dict` — one schema, two codecs:
+:func:`stmaker_to_dict` — one schema, two codecs:
 
 * **json** — the legacy human-readable format (``*.json``).  The
   fingerprint travels as a top-level ``"fingerprint"`` key and covers the
@@ -19,6 +19,11 @@ Both codecs write atomically (temp file in the destination directory,
 fsync, ``os.replace``) and verify the fingerprint on load, so a partially
 written or corrupted file is an :class:`~repro.exceptions.ArtifactError`,
 never a silently wrong model.
+
+Custom feature *definitions* carry Python callables and cannot be
+serialized; only their keys are stored, and :func:`stmaker_from_dict`
+(so :func:`load_artifact`) takes an optional registry carrying the same
+definitions for models trained with extensions.
 """
 
 from __future__ import annotations
@@ -36,10 +41,14 @@ import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.persistence import stmaker_from_dict, stmaker_to_dict
-from repro.exceptions import ArtifactError
-from repro.features import FeatureRegistry
+from repro.core.config import SummarizerConfig
+from repro.core.summarizer import STMaker
+from repro.exceptions import ArtifactError, ConfigError
+from repro.features import FeatureRegistry, default_registry
+from repro.landmarks.io import landmarks_from_dict, landmarks_to_dict
 from repro.obs import metrics
+from repro.roadnet import network_from_dict, network_to_dict
+from repro.routes import HistoricalFeatureMap, TransferNetwork
 
 #: Leading bytes of a binary city-model artifact (8 bytes, version-tagged).
 BINARY_MAGIC = b"REPROCM1"
@@ -47,6 +56,64 @@ BINARY_MAGIC = b"REPROCM1"
 ARTIFACT_FORMATS = ("json", "binary")
 
 _PICKLE_PROTOCOL = 5
+
+#: Schema version of the model dict inside every artifact.
+_FORMAT_VERSION = 1
+
+
+def stmaker_to_dict(stmaker: STMaker) -> dict:
+    """JSON-compatible snapshot of a trained STMaker (the artifact schema)."""
+    return {
+        "version": _FORMAT_VERSION,
+        "network": network_to_dict(stmaker.network),
+        "landmarks": landmarks_to_dict(stmaker.landmarks),
+        "transfers": stmaker.transfers.to_dict(),
+        "feature_map": stmaker.feature_map.to_dict(),
+        "config": {
+            "ca": stmaker.config.ca,
+            "irregular_threshold": stmaker.config.irregular_threshold,
+            "feature_weights": stmaker.config.feature_weights,
+            "popular_route_min_support": stmaker.config.popular_route_min_support,
+        },
+        "feature_keys": stmaker.registry.keys(),
+    }
+
+
+def stmaker_from_dict(
+    data: dict, registry: FeatureRegistry | None = None
+) -> STMaker:
+    """Rebuild an STMaker from :func:`stmaker_to_dict` output.
+
+    *registry* must be provided when the model was trained with custom
+    features (their extractors are code, not data); its keys must cover
+    the stored ``feature_keys``.
+    """
+    version = data.get("version")
+    if version != _FORMAT_VERSION:
+        raise ConfigError(f"unsupported STMaker format version: {version}")
+    registry = registry or default_registry(
+        include_speed_change="speed_changes" in data["feature_keys"]
+    )
+    missing = [key for key in data["feature_keys"] if key not in registry]
+    if missing:
+        raise ConfigError(
+            f"model was trained with features {missing}; pass a registry "
+            "containing their definitions"
+        )
+    config = SummarizerConfig(
+        ca=data["config"]["ca"],
+        irregular_threshold=data["config"]["irregular_threshold"],
+        feature_weights=dict(data["config"]["feature_weights"]),
+        popular_route_min_support=data["config"]["popular_route_min_support"],
+    )
+    return STMaker(
+        network_from_dict(data["network"]),
+        landmarks_from_dict(data["landmarks"]),
+        TransferNetwork.from_dict(data["transfers"]),
+        HistoricalFeatureMap.from_dict(data["feature_map"]),
+        config=config,
+        registry=registry,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,8 +327,7 @@ def load_artifact(
 
     Codec is sniffed from the file, the fingerprint is verified, and
     *registry* is forwarded for models trained with custom features (their
-    extractors are code, not data — see
-    :func:`repro.core.persistence.stmaker_from_dict`).
+    extractors are code, not data — see :func:`stmaker_from_dict`).
     """
     path = Path(path)
     format, header, data = _read(path)

@@ -185,10 +185,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         len(trajectory.points), args.csv, trajectory.trajectory_id,
     )
     if args.model:
-        from repro.core import load_stmaker
+        from repro.artifact import load_artifact
 
         logger.info("loading model from %s ...", args.model)
-        stmaker = load_stmaker(args.model)
+        stmaker, _ = load_artifact(args.model)
     else:
         stmaker = _build_scenario(args.seed, args.training).stmaker
     from repro import obs

@@ -32,12 +32,6 @@ from repro.core.templates import (
 from repro.core.summarizer import STMaker
 from repro.core.group import GroupMember, GroupSummarizer, GroupSummary
 from repro.core.store import FeaturePredicate, SummaryStore
-from repro.core.persistence import (
-    load_stmaker,
-    save_stmaker,
-    stmaker_from_dict,
-    stmaker_to_dict,
-)
 
 __all__ = [
     "SummarizerConfig",
@@ -68,8 +62,4 @@ __all__ = [
     "GroupMember",
     "SummaryStore",
     "FeaturePredicate",
-    "stmaker_to_dict",
-    "stmaker_from_dict",
-    "save_stmaker",
-    "load_stmaker",
 ]

@@ -81,6 +81,7 @@ from repro.roadnet import RoadGrade, RoadNetwork, TrafficDirection
 from repro.routes import HistoricalFeatureMap, PopularRouteMiner, TransferNetwork
 from repro.trajectory import (
     RawTrajectory,
+    SanitizationReport,
     SanitizerConfig,
     SymbolicEntry,
     SymbolicTrajectory,
@@ -241,31 +242,24 @@ class STMaker:
         By default each stage failure triggers that stage's fallback and is
         recorded in ``summary.degradation``; :class:`TransientError` s
         propagate so callers can retry.  ``strict=True`` disables every
-        fallback and raises on the first error.  ``sanitize=True`` runs
-        :func:`repro.trajectory.sanitize_trajectory` before calibration.
+        fallback and raises on the first error; both modes run the same
+        stage code.  ``sanitize=True`` runs
+        :func:`repro.trajectory.sanitize_trajectory` before calibration
+        and records a repaired input as the ``sanitize`` stage's
+        ``cleaned_input`` event, strict or not.
         """
         with timed_span(
             "summarize", trajectory_id=raw.trajectory_id, k=k
         ) as timer, stage_scope("summarize", raw.trajectory_id):
             report = DegradationReport()
             if sanitize:
-                raw, cleaned = sanitize_trajectory(raw, sanitizer_config)
+                raw, cleaned = _sanitize(raw, sanitizer_config)
                 if not cleaned.clean:
                     report.add(DegradationEvent(
                         "sanitize", "cleaned_input",
                         f"repaired input: {cleaned!r}",
                     ))
-                    emit_event(
-                        "sanitization", "sanitize", raw.trajectory_id,
-                        dropped=cleaned.dropped_total, reordered=cleaned.reordered,
-                    )
-            if strict:
-                with stage_scope("calibrate", raw.trajectory_id):
-                    self._inject("calibrate", raw.trajectory_id)
-                    symbolic = self.calibrator.calibrate(raw)
-                summary = self.summarize_calibrated(raw, symbolic, k=k)
-            else:
-                summary = self._summarize_graceful(raw, k, report)
+            summary = self._run_stages(raw, k, report, strict=strict)
         m = metrics()
         m.counter("summarize.calls").inc()
         m.histogram("summarize.latency_ms").observe(timer.ms)
@@ -284,20 +278,12 @@ class STMaker:
     ) -> TrajectorySummary:
         """Summarize a trajectory whose calibration is already available.
 
-        This is the strict (raise-on-error) pipeline core; the graceful
-        path wraps the same stages with their fallbacks.
+        Runs the last four stages strictly (raise on the first error),
+        exactly as ``summarize(raw, k, strict=True)`` would after
+        calibrating *raw* into *symbolic*.
         """
-        with stage_scope("extract", raw.trajectory_id):
-            self._inject("extract", raw.trajectory_id)
-            segment_features = self.pipeline.extract(raw, symbolic)
-        spans = self.partition(symbolic, segment_features, k=k)
-        partitions = []
-        for i, part_span in enumerate(spans):
-            partitions.append(
-                self._summarize_partition(symbolic, segment_features, part_span, i == 0)
-            )
-        return TrajectorySummary(
-            raw.trajectory_id, summary_text(partitions), partitions
+        return self._run_stages(
+            raw, k, DegradationReport(), strict=True, symbolic=symbolic
         )
 
     def summarize_many(
@@ -425,25 +411,30 @@ class STMaker:
             breakdown.queue_wait_s = max(
                 0.0, wall_clock_of(item_started) - trace.anchor_unix_s
             )
-        if deadline.expired:
+        attempts = 0
+        retries = 0
+        sanitization = None
+
+        def quarantine(error_type: str, message: str) -> ItemOutcome:
+            """Settle the item as quarantined: counter, event, ``item_end``."""
             m.counter("resilience.batch.quarantined").inc()
-            message = (
-                f"batch deadline budget of {deadline.budget_s:g}s exhausted "
-                f"before item {index}"
-            )
             emit_event(
                 "quarantine", trajectory_id=raw.trajectory_id,
-                index=index, error_type="DeadlineExceeded", attempts=0,
+                index=index, error_type=error_type, attempts=attempts,
                 error=message,
             )
             self._note_item_end(m, raw.trajectory_id, index, False, breakdown)
             return ItemOutcome(index, None, QuarantineEntry(
-                index, raw.trajectory_id, "DeadlineExceeded", message, 0,
+                index, raw.trajectory_id, error_type, message, attempts,
+                total_duration_s=breakdown.total_s,
                 shard_id=shard_id, latency=breakdown,
-            ), None, latency=breakdown)
-        attempts = 0
-        retries = 0
-        sanitization = None
+            ), sanitization, retries, latency=breakdown)
+
+        if deadline.expired:
+            return quarantine("DeadlineExceeded", (
+                f"batch deadline budget of {deadline.budget_s:g}s exhausted "
+                f"before item {index}"
+            ))
         with use_trace(trace), span(
             "item", index=index, trajectory_id=raw.trajectory_id,
             shard_id=shard_id,
@@ -451,13 +442,7 @@ class STMaker:
             try:
                 with stage_sink(breakdown.note_stage):
                     if sanitize:
-                        raw, sanitization = sanitize_trajectory(raw, sanitizer_config)
-                        if not sanitization.clean:
-                            emit_event(
-                                "sanitization", "sanitize", raw.trajectory_id,
-                                dropped=sanitization.dropped_total,
-                                reordered=sanitization.reordered,
-                            )
+                        raw, sanitization = _sanitize(raw, sanitizer_config)
                     while True:
                         attempts += 1
                         breakdown.attempts = attempts
@@ -500,19 +485,7 @@ class STMaker:
                     raise
                 item_span.set_tag("quarantined", True)
                 breakdown.total_s = time.perf_counter() - item_started
-                m.counter("resilience.batch.quarantined").inc()
-                emit_event(
-                    "quarantine", trajectory_id=raw.trajectory_id,
-                    index=index, error_type=type(exc).__name__,
-                    attempts=attempts, error=str(exc),
-                )
-                self._note_item_end(m, raw.trajectory_id, index, False, breakdown)
-                return ItemOutcome(index, None, QuarantineEntry(
-                    index, raw.trajectory_id, type(exc).__name__,
-                    str(exc), attempts,
-                    total_duration_s=time.perf_counter() - item_started,
-                    shard_id=shard_id, latency=breakdown,
-                ), sanitization, retries, latency=breakdown)
+                return quarantine(type(exc).__name__, str(exc))
 
     @staticmethod
     def _note_item_end(
@@ -575,106 +548,106 @@ class STMaker:
             k = max(1, min(k, n_segments))
             return optimal_k_partition(similarities, boundary_scores, k)
 
-    # -- graceful degradation --------------------------------------------------------
+    # -- the stage pipeline and its fallbacks -------------------------------------
 
-    def _summarize_graceful(
-        self, raw: RawTrajectory, k: int | None, report: DegradationReport
+    def _run_stages(
+        self,
+        raw: RawTrajectory,
+        k: int | None,
+        report: DegradationReport,
+        *,
+        strict: bool,
+        symbolic: SymbolicTrajectory | None = None,
     ) -> TrajectorySummary:
-        """The five stages with their fallbacks (see docs/ROBUSTNESS.md).
+        """The five stages of Fig. 3, each with its fallback.
 
-        :class:`TransientError` s are re-raised untouched at every stage —
-        they are expected to succeed on retry, so degrading on them would
-        permanently lose summary quality; ``summarize_many`` retries them.
-        :class:`WorkerCrashError` s propagate too: a crash is not a stage
-        failure to paper over but an item-fatal event, and letting it
-        reach the quarantine path is what keeps a serial run's verdict
-        for a poison item identical to the supervised process pool's.
+        A stage's :class:`ReproError` triggers that stage's fallback and is
+        recorded in *report* (see docs/ROBUSTNESS.md) unless
+        :func:`_propagates` says it must be raised.  A given *symbolic*
+        skips calibration.
         """
-        try:
-            with stage_scope("calibrate", raw.trajectory_id):
-                self._inject("calibrate", raw.trajectory_id)
-                symbolic = self.calibrator.calibrate(raw)
-        except (TransientError, WorkerCrashError):
-            raise
-        except ReproError as exc:
-            symbolic = self._geometric_calibrate(raw)
-            self._record(report, "calibrate", "geometric_anchors", exc)
+        if symbolic is None:
+            try:
+                with stage_scope("calibrate", raw.trajectory_id):
+                    self._inject("calibrate", raw.trajectory_id)
+                    symbolic = self.calibrator.calibrate(raw)
+            except ReproError as exc:
+                if _propagates(exc, strict):
+                    raise
+                symbolic = self._geometric_calibrate(raw)
+                self._record(report, "calibrate", "geometric_anchors", exc)
 
         include_routing = True
         try:
             with stage_scope("extract", raw.trajectory_id):
                 self._inject("extract", raw.trajectory_id)
                 segment_features = self.pipeline.extract(raw, symbolic)
-        except (TransientError, WorkerCrashError):
-            raise
         except ReproError as exc:
+            if _propagates(exc, strict):
+                raise
             segment_features = self._extract_moving_only(raw, symbolic)
             include_routing = False
             self._record(report, "extract", "moving_features_only", exc)
 
         try:
             spans = self.partition(symbolic, segment_features, k=k)
-        except (TransientError, WorkerCrashError):
-            raise
         except ReproError as exc:
+            if _propagates(exc, strict):
+                raise
             spans = [PartitionSpan(0, symbolic.segment_count - 1)]
             self._record(report, "partition", "single_partition", exc)
 
+        def landmark_name(entry_index: int, default: str) -> str:
+            try:
+                return self.landmarks.get(symbolic[entry_index].landmark).name
+            except ReproError:
+                if strict:
+                    raise
+                return default
+
         partitions = []
         for i, part_span in enumerate(spans):
-            partitions.append(self._summarize_partition_graceful(
-                symbolic, segment_features, part_span, i == 0,
-                include_routing, report,
+            is_first = i == 0
+            try:
+                with stage_scope("select", symbolic.trajectory_id):
+                    self._inject("select", symbolic.trajectory_id)
+                    assessment = self.selector.assess(
+                        symbolic, segment_features, part_span,
+                        include_routing=include_routing,
+                    )
+            except ReproError as exc:
+                if _propagates(exc, strict):
+                    raise
+                assessment = PartitionAssessment(part_span, [], [])
+                self._record(report, "select", "no_features", exc)
+
+            source = landmark_name(
+                part_span.start_landmark_index, "origin of the trip"
+            )
+            destination = landmark_name(
+                part_span.end_landmark_index, "destination"
+            )
+            try:
+                with stage_scope("realize", symbolic.trajectory_id):
+                    self._inject("realize", symbolic.trajectory_id)
+                    with span("realize", selected=len(assessment.selected)):
+                        sentence = partition_sentence(
+                            source, destination, assessment.selected,
+                            self.registry, is_first,
+                        )
+            except ReproError as exc:
+                if _propagates(exc, strict):
+                    raise
+                opener = "The car started from" if is_first else "Then it moved from"
+                sentence = f"{opener} the {source} to the {destination}."
+                self._record(report, "realize", "generic_sentence", exc)
+            metrics().counter("realize.sentences").inc()
+            partitions.append(PartitionSummary(
+                part_span, source, destination,
+                assessment.assessments, assessment.selected, sentence,
             ))
         return TrajectorySummary(
             raw.trajectory_id, summary_text(partitions), partitions, report
-        )
-
-    def _summarize_partition_graceful(
-        self,
-        symbolic: SymbolicTrajectory,
-        segment_features: list[SegmentFeatures],
-        part_span: PartitionSpan,
-        is_first: bool,
-        include_routing: bool,
-        report: DegradationReport,
-    ) -> PartitionSummary:
-        try:
-            with stage_scope("select", symbolic.trajectory_id):
-                self._inject("select", symbolic.trajectory_id)
-                assessment = self.selector.assess(
-                    symbolic, segment_features, part_span,
-                    include_routing=include_routing,
-                )
-        except (TransientError, WorkerCrashError):
-            raise
-        except ReproError as exc:
-            assessment = PartitionAssessment(part_span, [], [])
-            self._record(report, "select", "no_features", exc)
-
-        source = self._safe_landmark_name(
-            symbolic[part_span.start_landmark_index].landmark, "origin of the trip"
-        )
-        destination = self._safe_landmark_name(
-            symbolic[part_span.end_landmark_index].landmark, "destination"
-        )
-        try:
-            with stage_scope("realize", symbolic.trajectory_id):
-                self._inject("realize", symbolic.trajectory_id)
-                with span("realize", selected=len(assessment.selected)):
-                    sentence = partition_sentence(
-                        source, destination, assessment.selected, self.registry, is_first
-                    )
-        except (TransientError, WorkerCrashError):
-            raise
-        except ReproError as exc:
-            opener = "The car started from" if is_first else "Then it moved from"
-            sentence = f"{opener} the {source} to the {destination}."
-            self._record(report, "realize", "generic_sentence", exc)
-        metrics().counter("realize.sentences").inc()
-        return PartitionSummary(
-            part_span, source, destination,
-            assessment.assessments, assessment.selected, sentence,
         )
 
     def _geometric_calibrate(
@@ -735,12 +708,6 @@ class STMaker:
         metrics().counter("resilience.moving_only_extractions").inc()
         return out
 
-    def _safe_landmark_name(self, landmark_id: int, default: str) -> str:
-        try:
-            return self.landmarks.get(landmark_id).name
-        except ReproError:
-            return default
-
     def _inject(self, stage: str, trajectory_id: str | None = None) -> None:
         """Fault-injection hook: no-op unless an injector is installed.
 
@@ -767,32 +734,28 @@ class STMaker:
         m.counter(f"resilience.fallback.{stage}").inc()
         m.counter("resilience.fallbacks").inc()
 
-    # -- internals ----------------------------------------------------------------------
 
-    def _summarize_partition(
-        self,
-        symbolic: SymbolicTrajectory,
-        segment_features: list[SegmentFeatures],
-        part_span: PartitionSpan,
-        is_first: bool,
-    ) -> PartitionSummary:
-        with stage_scope("select", symbolic.trajectory_id):
-            self._inject("select", symbolic.trajectory_id)
-            assessment = self.selector.assess(symbolic, segment_features, part_span)
-        with stage_scope("realize", symbolic.trajectory_id):
-            self._inject("realize", symbolic.trajectory_id)
-            with span("realize", selected=len(assessment.selected)):
-                source = self.landmarks.get(
-                    symbolic[part_span.start_landmark_index].landmark
-                ).name
-                destination = self.landmarks.get(
-                    symbolic[part_span.end_landmark_index].landmark
-                ).name
-                sentence = partition_sentence(
-                    source, destination, assessment.selected, self.registry, is_first
-                )
-        metrics().counter("realize.sentences").inc()
-        return PartitionSummary(
-            part_span, source, destination,
-            assessment.assessments, assessment.selected, sentence,
+def _propagates(exc: ReproError, strict: bool) -> bool:
+    """Whether a stage error must propagate instead of taking the fallback.
+
+    Every error does under *strict*.  A :class:`TransientError` always
+    does: it is expected to succeed on retry (``summarize_many`` retries
+    it), so degrading on it would permanently lose summary quality.  A
+    :class:`WorkerCrashError` always does: a crash is item-fatal, and
+    letting it reach the quarantine path keeps a serial run's verdict for
+    a poison item identical to the supervised process pool's.
+    """
+    return strict or isinstance(exc, (TransientError, WorkerCrashError))
+
+
+def _sanitize(
+    raw: RawTrajectory, config: SanitizerConfig | None
+) -> tuple[RawTrajectory, SanitizationReport]:
+    """Run the sanitizer; a repaired input is announced as a ``sanitization`` event."""
+    raw, cleaned = sanitize_trajectory(raw, config)
+    if not cleaned.clean:
+        emit_event(
+            "sanitization", "sanitize", raw.trajectory_id,
+            dropped=cleaned.dropped_total, reordered=cleaned.reordered,
         )
+    return raw, cleaned

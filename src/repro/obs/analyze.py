@@ -27,11 +27,11 @@ case, not the exception.
 from __future__ import annotations
 
 import json
-import statistics
 from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigError
 from repro.obs.events import PipelineEvent
+from repro.obs.report import latency_rollup
 from repro.obs.trace import SpanRecord
 
 
@@ -222,24 +222,11 @@ def item_latencies(
     return rows
 
 
-_PHASE_KEYS = (
-    "admission_wait_s", "queue_wait_s", "exec_s",
-    "backoff_s", "reassembly_s", "total_s",
-)
-
-
 def _fmt_ms(value: object) -> str:
     try:
         return f"{float(value) * 1000.0:.1f}"  # type: ignore[arg-type]
     except (TypeError, ValueError):
         return "-"
-
-
-def _p95(values: list[float]) -> float:
-    ordered = sorted(values)
-    if len(ordered) < 2:
-        return ordered[0]
-    return min(statistics.quantiles(ordered, n=20)[-1], ordered[-1])
 
 
 def render_analysis(
@@ -303,8 +290,11 @@ def render_analysis(
 
     rows = item_latencies(events)
     if rows:
+        # Imported here: repro.resilience imports repro.obs at load time.
+        from repro.resilience import LatencyBreakdown
+
         breakdowns = [
-            row["breakdown"] for row in rows
+            LatencyBreakdown.from_dict(row["breakdown"]) for row in rows
             if isinstance(row.get("breakdown"), dict)
         ]
         lines += [
@@ -313,34 +303,21 @@ def render_analysis(
             f"{sum(1 for row in rows if not row.get('ok'))} failed):",
         ]
         if breakdowns:
+            rollup = latency_rollup(breakdowns)
             header = f"  {'phase':<18}{'mean ms':>10}{'p95 ms':>10}{'max ms':>10}"
             lines.append(header)
-            for key in _PHASE_KEYS:
-                values = [
-                    float(b.get(key, 0.0)) * 1000.0  # type: ignore[arg-type]
-                    for b in breakdowns
-                ]
-                if not any(values):
-                    continue
+            for phase, dist in rollup["phases_ms"].items():
+                if dist["min"] == dist["max"] == 0.0:
+                    continue  # a phase this run never spent time in
                 lines.append(
-                    f"  {key[:-2]:<18}"
-                    f"{statistics.fmean(values):>10.1f}"
-                    f"{_p95(values):>10.1f}"
-                    f"{max(values):>10.1f}"
+                    f"  {phase[: -len('_ms')]:<18}"
+                    f"{dist['mean']:>10.1f}"
+                    f"{dist['p95']:>10.1f}"
+                    f"{dist['max']:>10.1f}"
                 )
-            stage_totals: dict[str, float] = {}
-            for b in breakdowns:
-                stages = b.get("stages_s")
-                if isinstance(stages, dict):
-                    for stage, seconds in stages.items():
-                        stage_totals[stage] = (
-                            stage_totals.get(stage, 0.0) + float(seconds) * 1000.0
-                        )
-            if stage_totals:
+            if rollup["stage_totals_ms"]:
                 lines.append("  exec stages (total ms):")
-                for stage, total in sorted(
-                    stage_totals.items(), key=lambda kv: -kv[1]
-                ):
+                for stage, total in rollup["stage_totals_ms"].items():
                     lines.append(f"    {stage:<20}{total:>10.1f}")
         slowest = sorted(
             rows,

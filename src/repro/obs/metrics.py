@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import statistics
 import threading
 from contextvars import ContextVar
 
@@ -47,6 +48,18 @@ def _bounds_from_labels(labels) -> tuple[float, ...]:
     return tuple(
         math.inf if label == "+inf" else float(label) for label in labels
     )
+
+
+def clamped_p95(ordered: list[float]) -> float | None:
+    """p95 of pre-sorted raw samples (``None`` for none).
+
+    The exclusive quantile method extrapolates past the extremes on small
+    samples; a reported p95 must stay within what was observed, so it is
+    clamped to the maximum.
+    """
+    if len(ordered) < 2:
+        return ordered[0] if ordered else None
+    return min(statistics.quantiles(ordered, n=20)[-1], ordered[-1])
 
 
 class Counter:

@@ -30,12 +30,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.metrics import MetricsRegistry, NullMetrics
+from repro.obs.metrics import MetricsRegistry, NullMetrics, clamped_p95
 from repro.obs.trace import TraceCollector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.types import TrajectorySummary
-    from repro.resilience import BatchResult
+    from repro.resilience import BatchResult, LatencyBreakdown
 
 
 def environment_fingerprint() -> dict[str, object]:
@@ -61,20 +61,14 @@ def _distribution(values: list[float]) -> dict[str, object]:
     if not values:
         return {"count": 0}
     ordered = sorted(values)
-    out: dict[str, object] = {
+    return {
         "count": len(ordered),
         "min": ordered[0],
         "mean": statistics.fmean(ordered),
         "max": ordered[-1],
         "p50": statistics.median(ordered),
+        "p95": clamped_p95(ordered),
     }
-    if len(ordered) >= 2:
-        # The exclusive quantile method extrapolates past the extremes on
-        # small samples; a reported p95 must stay within what was observed.
-        out["p95"] = min(statistics.quantiles(ordered, n=20)[-1], ordered[-1])
-    else:
-        out["p95"] = ordered[-1]
-    return out
 
 
 def _markdown_table(headers: list[str], rows: list[list[object]]) -> str:
@@ -464,15 +458,14 @@ _LATENCY_PHASES = (
 )
 
 
-def _latency_stats(batches: list["BatchResult"]) -> dict[str, object]:
-    """Phase distributions + stage totals from the batches' breakdowns.
+def latency_rollup(breakdowns: list["LatencyBreakdown"]) -> dict[str, object]:
+    """Phase distributions + stage totals of latency breakdowns.
 
-    Returns ``{}`` when no batch carried latency breakdowns (pre-existing
-    artifacts, synthetic results), so such reports are unchanged.
+    The one roll-up behind both the run report's latency section and the
+    ``stmaker obs analyze`` latency table.  Returns ``{}`` for no
+    breakdowns (pre-existing artifacts, synthetic results), so such
+    reports are unchanged.
     """
-    breakdowns = [
-        lat for batch in batches for lat in batch.latencies if lat is not None
-    ]
     if not breakdowns:
         return {}
     phases: dict[str, dict[str, object]] = {}
@@ -579,5 +572,7 @@ def build_run_report(
         metrics=metrics_snapshot,
         serving=_serving_stats(metrics_snapshot),
         containment=_containment_stats(metrics_snapshot),
-        latency=_latency_stats(batches),
+        latency=latency_rollup([
+            lat for batch in batches for lat in batch.latencies if lat is not None
+        ]),
     )

@@ -43,7 +43,6 @@ under ``/status``.
 
 from __future__ import annotations
 
-import statistics
 import threading
 import time
 from collections import deque
@@ -52,7 +51,7 @@ from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigError
 from repro.obs.events import EventBus, PipelineEvent, enable_events, events
-from repro.obs.metrics import metrics
+from repro.obs.metrics import clamped_p95, metrics
 
 #: Objective kinds the engine can evaluate.
 SLO_KINDS = ("latency_p95", "success_ratio")
@@ -311,7 +310,7 @@ class SLOEngine:
             }
             if o.kind == "latency_p95":
                 durations = sorted(s[1] for s in window)
-                p95 = _p95(durations)
+                p95 = clamped_p95(durations)
                 evaluation["p95_ms"] = p95
                 m.gauge(f"slo.{o.name}.p95_ms").set(p95 or 0.0)
             else:
@@ -396,15 +395,6 @@ class SLOEngine:
                 "objectives": [dict(state.last) for state in self._states],
                 "samples": len(self._samples),
             }
-
-
-def _p95(ordered: list[float]) -> float | None:
-    """p95 of pre-sorted values, clamped to the observed max (small-n safe)."""
-    if not ordered:
-        return None
-    if len(ordered) == 1:
-        return ordered[0]
-    return min(statistics.quantiles(ordered, n=20)[-1], ordered[-1])
 
 
 _active: SLOEngine | None = None

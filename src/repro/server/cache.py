@@ -201,8 +201,7 @@ def model_fingerprint(stmaker: "STMaker") -> str:
     into published artifacts, so a server fingerprint and an artifact
     fingerprint agree for the same model.
     """
-    from repro.artifact import compute_fingerprint
-    from repro.core.persistence import stmaker_to_dict
+    from repro.artifact import compute_fingerprint, stmaker_to_dict
 
     return compute_fingerprint(stmaker_to_dict(stmaker))
 

@@ -33,9 +33,8 @@ from repro.artifact import (
     ensure_artifact,
     load_artifact,
     save_artifact,
+    stmaker_to_dict,
 )
-from repro.core import load_stmaker, save_stmaker
-from repro.core.persistence import stmaker_to_dict
 from repro.exceptions import ArtifactError, ConfigError
 
 
@@ -93,15 +92,6 @@ def test_load_sniffs_codec_regardless_of_extension(stmaker, trips, tmp_path):
 def test_unknown_format_rejected(stmaker, tmp_path):
     with pytest.raises(ArtifactError, match="unknown artifact format"):
         save_artifact(stmaker, tmp_path / "m.bin", format="msgpack")
-
-
-def test_save_load_stmaker_wrappers(stmaker, trips, tmp_path):
-    save_stmaker(stmaker, tmp_path / "m.json")
-    save_stmaker(stmaker, tmp_path / "m.stm")
-    for name in ("m.json", "m.stm"):
-        assert _texts(load_stmaker(tmp_path / name), trips[:2]) == _texts(
-            stmaker, trips[:2]
-        )
 
 
 def test_legacy_fingerprintless_json_still_loads(stmaker, trips, tmp_path):
@@ -265,7 +255,7 @@ def test_failed_first_save_leaves_no_file(stmaker, tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", lambda s, d: (_ for _ in ()).throw(OSError("boom")))
     with pytest.raises(OSError):
-        save_stmaker(stmaker, path)
+        save_artifact(stmaker, path)
     monkeypatch.undo()
 
     assert not path.exists()

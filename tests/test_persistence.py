@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    SummarizerConfig,
-    load_stmaker,
-    save_stmaker,
+from repro.artifact import (
+    load_artifact,
+    save_artifact,
     stmaker_from_dict,
     stmaker_to_dict,
 )
+from repro.core import SummarizerConfig
 from repro.exceptions import ConfigError, GeometryError
 from repro.features import (
     FeatureDefinition,
@@ -79,8 +79,8 @@ class TestHistoryDicts:
 class TestSTMakerPersistence:
     def test_roundtrip_preserves_summaries(self, scenario, tmp_path):
         path = tmp_path / "model.json"
-        save_stmaker(scenario.stmaker, path)
-        loaded = load_stmaker(path)
+        save_artifact(scenario.stmaker, path)
+        loaded, _ = load_artifact(path)
         trip = scenario.simulate_trip(
             depart_time=9 * 3600.0, rng=np.random.default_rng(5)
         )
@@ -93,8 +93,8 @@ class TestSTMakerPersistence:
             SummarizerConfig(ca=0.8, feature_weights={"speed": 2.0})
         )
         path = tmp_path / "tuned.json"
-        save_stmaker(tuned, path)
-        loaded = load_stmaker(path)
+        save_artifact(tuned, path)
+        loaded, _ = load_artifact(path)
         assert loaded.config.ca == 0.8
         assert loaded.config.weight("speed") == 2.0
 

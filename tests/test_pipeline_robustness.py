@@ -283,11 +283,28 @@ class TestChaos:
         assert summary.text and summary.text.endswith(".")
         assert set(STAGES) <= set(summary.degradation.stages())
 
-    def test_strict_mode_raises_instead_of_degrading(self, scenario, base_trip):
-        injector = FaultInjector.raising("partition")
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_strict_mode_raises_instead_of_degrading(
+        self, scenario, base_trip, stage
+    ):
+        injector = FaultInjector.raising(stage)
         with injector.installed(scenario.stmaker):
             with pytest.raises(InjectedFault):
                 scenario.stmaker.summarize(base_trip.raw, k=2, strict=True)
+        assert injector.fired(stage) == 1
+
+    def test_strict_sanitized_summary_keeps_cleaned_input(
+        self, scenario, base_trip
+    ):
+        points = list(base_trip.raw.points)
+        points.insert(1, TrajectoryPoint(points[0].point, points[0].t))
+        trip = RawTrajectory(points, "one-dupe")
+        for strict in (False, True):
+            summary = scenario.stmaker.summarize(
+                trip, k=2, sanitize=True, strict=strict
+            )
+            assert summary.degradation.stages() == ["sanitize"]
+            assert summary.degradation.events[0].fallback == "cleaned_input"
 
     def test_calibration_fault_uses_geometric_anchors(
         self, scenario, base_trip, registry
@@ -339,6 +356,34 @@ class TestChaos:
             summary = scenario.stmaker.summarize(base_trip.raw, k=2)
         assert slept == [0.01]
         assert not summary.degradation.degraded  # latency alone degrades nothing
+
+
+@pytest.fixture(scope="module")
+def scenario_trips(scenario):
+    rng = np.random.default_rng(2015)
+    return [
+        trip.raw
+        for trip in scenario.simulate_trips(12, depart_time=8 * 3600.0, rng=rng)
+    ]
+
+
+class TestStrictEqualsGraceful:
+    """Strict and graceful runs are one stage pipeline: on input that
+    needs no fallback, they and ``summarize_calibrated`` agree exactly."""
+
+    @pytest.mark.parametrize("k", [None, 2, 4])
+    def test_strict_graceful_and_calibrated_agree(self, scenario, scenario_trips, k):
+        stmaker = scenario.stmaker
+        for raw in scenario_trips:
+            graceful = stmaker.summarize(raw, k=k)
+            strict = stmaker.summarize(raw, k=k, strict=True)
+            calibrated = stmaker.summarize_calibrated(
+                raw, stmaker.calibrator.calibrate(raw), k
+            )
+            assert not graceful.degradation.degraded
+            for other in (strict, calibrated):
+                assert other.text == graceful.text
+                assert other.partitions == graceful.partitions
 
 
 class TestBatch:

@@ -22,7 +22,7 @@ def stage_breakdown(request):
     """Trace every bench and print a per-figure stage-time breakdown.
 
     Each bench test runs with a fresh trace collector; on teardown the
-    spans are aggregated by stage name (``calibrate``, ``extract_features``,
+    spans are aggregated by stage name (``calibrate``, ``extract``,
     ``partition``, ``select``, ``realize``, ...) so every figure reports
     where its wall time went.  The collector is capped so week-long
     workloads cannot exhaust memory.

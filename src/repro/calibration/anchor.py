@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.exceptions import CalibrationError
 from repro.geo import point_segment_distance_m
 from repro.landmarks import LandmarkId, LandmarkIndex
-from repro.obs import metrics, span
+from repro.obs import metrics
 from repro.trajectory.model import RawTrajectory, SymbolicEntry, SymbolicTrajectory
 
 
@@ -64,31 +64,25 @@ class AnchorCalibrator:
         summarize meaningfully.
         """
         m = metrics()
-        with span(
-            "calibrate",
-            trajectory_id=trajectory.trajectory_id,
-            points=len(trajectory.points),
-        ) as sp:
-            candidates = self._collect_candidates(trajectory)
-            anchors = self._cluster_passes(candidates)
-            anchors.sort(key=lambda c: c.t)
-            entries: list[SymbolicEntry] = []
-            for candidate in anchors:
-                if entries and entries[-1].landmark == candidate.landmark:
-                    continue  # collapse consecutive duplicates
-                entries.append(SymbolicEntry(candidate.landmark, candidate.t))
-            m.counter("calibration.calls").inc()
-            if len(entries) < 2:
-                m.counter("calibration.failures").inc()
-                raise CalibrationError(
-                    f"trajectory {trajectory.trajectory_id!r} produced "
-                    f"{len(entries)} anchor(s); need at least 2"
-                )
-            sp.set_tag("anchors", len(entries))
-            m.histogram(
-                "calibration.landmarks_matched", buckets=(2, 5, 10, 20, 40, 80)
-            ).observe(len(entries))
-            return SymbolicTrajectory(entries, trajectory.trajectory_id)
+        candidates = self._collect_candidates(trajectory)
+        anchors = self._cluster_passes(candidates)
+        anchors.sort(key=lambda c: c.t)
+        entries: list[SymbolicEntry] = []
+        for candidate in anchors:
+            if entries and entries[-1].landmark == candidate.landmark:
+                continue  # collapse consecutive duplicates
+            entries.append(SymbolicEntry(candidate.landmark, candidate.t))
+        m.counter("calibration.calls").inc()
+        if len(entries) < 2:
+            m.counter("calibration.failures").inc()
+            raise CalibrationError(
+                f"trajectory {trajectory.trajectory_id!r} produced "
+                f"{len(entries)} anchor(s); need at least 2"
+            )
+        m.histogram(
+            "calibration.landmarks_matched", buckets=(2, 5, 10, 20, 40, 80)
+        ).observe(len(entries))
+        return SymbolicTrajectory(entries, trajectory.trajectory_id)
 
     def _collect_candidates(self, trajectory: RawTrajectory) -> list[_Candidate]:
         """Every (landmark, interpolated pass time, distance) within reach.

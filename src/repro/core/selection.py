@@ -37,7 +37,7 @@ from repro.features import (
     normalize_sequence,
 )
 from repro.landmarks import LandmarkIndex
-from repro.obs import metrics, span as obs_span
+from repro.obs import metrics
 from repro.roadnet import RoadGrade, TrafficDirection
 from repro.routes import HistoricalFeatureMap, PopularRouteMiner
 from repro.trajectory import SymbolicTrajectory
@@ -164,29 +164,27 @@ class FeatureSelector:
         entirely — the moving-features-only mode the summarizer degrades to
         when map matching is unavailable for the trajectory.
         """
-        with obs_span("select", segments=span.segment_count) as sp:
-            segments = [segment_features[i] for i in span.segment_indexes()]
-            popular_hops: list[RoutingFeatures] = []
-            if include_routing:
-                src = symbolic[span.start_landmark_index].landmark
-                dst = symbolic[span.end_landmark_index].landmark
-                popular_hops = self._popular_hops(src, dst)
+        segments = [segment_features[i] for i in span.segment_indexes()]
+        popular_hops: list[RoutingFeatures] = []
+        if include_routing:
+            src = symbolic[span.start_landmark_index].landmark
+            dst = symbolic[span.end_landmark_index].landmark
+            popular_hops = self._popular_hops(src, dst)
 
-            assessments = []
-            for definition in self.registry:
-                if definition.kind is FeatureKind.ROUTING:
-                    if not include_routing:
-                        continue
-                    assessment = self._assess_routing(definition, segments, popular_hops)
-                else:
-                    assessment = self._assess_moving(definition, symbolic, span, segments)
-                assessments.append(assessment)
-            selected = [
-                a
-                for a in assessments
-                if a.irregular_rate >= self.config.irregular_threshold
-            ]
-            sp.set_tag("selected", len(selected))
+        assessments = []
+        for definition in self.registry:
+            if definition.kind is FeatureKind.ROUTING:
+                if not include_routing:
+                    continue
+                assessment = self._assess_routing(definition, segments, popular_hops)
+            else:
+                assessment = self._assess_moving(definition, symbolic, span, segments)
+            assessments.append(assessment)
+        selected = [
+            a
+            for a in assessments
+            if a.irregular_rate >= self.config.irregular_threshold
+        ]
         m = metrics()
         m.counter("selection.features_assessed").inc(len(assessments))
         m.counter("selection.features_selected").inc(len(selected))

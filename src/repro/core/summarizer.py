@@ -55,14 +55,13 @@ from repro.features import (
 )
 from repro.landmarks import LandmarkIndex
 from repro.obs import (
+    Timer,
     TraceContext,
     emit_event,
     events_enabled,
     metrics,
     span,
-    stage_scope,
-    stage_sink,
-    timed_span,
+    span_listener,
     use_trace,
     wall_clock_of,
 )
@@ -248,9 +247,9 @@ class STMaker:
         and records a repaired input as the ``sanitize`` stage's
         ``cleaned_input`` event, strict or not.
         """
-        with timed_span(
+        with span(
             "summarize", trajectory_id=raw.trajectory_id, k=k
-        ) as timer, stage_scope("summarize", raw.trajectory_id):
+        ), Timer() as timer:
             report = DegradationReport()
             if sanitize:
                 raw, cleaned = _sanitize(raw, sanitizer_config)
@@ -398,7 +397,8 @@ class STMaker:
         carries its ``trace_id``, rooted at the ``item`` span opened here.
         A :class:`~repro.resilience.LatencyBreakdown` is always recorded
         (queue wait against ``trace.anchor_unix_s``, per-attempt exec
-        time, backoff, per-stage splits) and attached to the outcome.
+        time, backoff, and the ``item`` span's subtree summed per span
+        name) and attached to the outcome.
         """
         m = metrics()
         m.counter("resilience.batch.items").inc()
@@ -440,7 +440,7 @@ class STMaker:
             shard_id=shard_id,
         ) as item_span:
             try:
-                with stage_sink(breakdown.note_stage):
+                with span_listener(breakdown.note_span):
                     if sanitize:
                         raw, sanitization = _sanitize(raw, sanitizer_config)
                     while True:
@@ -517,22 +517,13 @@ class STMaker:
         k: int | None = None,
     ) -> list[PartitionSpan]:
         """The partition step alone (useful for analysis and tests)."""
-        with stage_scope("partition", symbolic.trajectory_id):
-            return self._partition_inner(symbolic, segment_features, k)
-
-    def _partition_inner(
-        self,
-        symbolic: SymbolicTrajectory,
-        segment_features: list[SegmentFeatures],
-        k: int | None,
-    ) -> list[PartitionSpan]:
-        self._inject("partition", symbolic.trajectory_id)
         n_segments = len(segment_features)
-        if n_segments != symbolic.segment_count:
-            raise PartitionError(
-                f"{n_segments} feature rows for {symbolic.segment_count} segments"
-            )
         with span("partition", segments=n_segments, k=k):
+            self._inject("partition", symbolic.trajectory_id)
+            if n_segments != symbolic.segment_count:
+                raise PartitionError(
+                    f"{n_segments} feature rows for {symbolic.segment_count} segments"
+                )
             if n_segments == 1:
                 return [PartitionSpan(0, 0)]
             vectors = normalized_vectors(segment_features, self.registry)
@@ -568,9 +559,13 @@ class STMaker:
         """
         if symbolic is None:
             try:
-                with stage_scope("calibrate", raw.trajectory_id):
+                with span(
+                    "calibrate", trajectory_id=raw.trajectory_id,
+                    points=len(raw.points),
+                ) as sp:
                     self._inject("calibrate", raw.trajectory_id)
                     symbolic = self.calibrator.calibrate(raw)
+                    sp.set_tag("anchors", len(symbolic))
             except ReproError as exc:
                 if _propagates(exc, strict):
                     raise
@@ -579,7 +574,7 @@ class STMaker:
 
         include_routing = True
         try:
-            with stage_scope("extract", raw.trajectory_id):
+            with span("extract", segments=symbolic.segment_count):
                 self._inject("extract", raw.trajectory_id)
                 segment_features = self.pipeline.extract(raw, symbolic)
         except ReproError as exc:
@@ -609,12 +604,13 @@ class STMaker:
         for i, part_span in enumerate(spans):
             is_first = i == 0
             try:
-                with stage_scope("select", symbolic.trajectory_id):
+                with span("select", segments=part_span.segment_count) as sp:
                     self._inject("select", symbolic.trajectory_id)
                     assessment = self.selector.assess(
                         symbolic, segment_features, part_span,
                         include_routing=include_routing,
                     )
+                    sp.set_tag("selected", len(assessment.selected))
             except ReproError as exc:
                 if _propagates(exc, strict):
                     raise
@@ -628,13 +624,12 @@ class STMaker:
                 part_span.end_landmark_index, "destination"
             )
             try:
-                with stage_scope("realize", symbolic.trajectory_id):
+                with span("realize", selected=len(assessment.selected)):
                     self._inject("realize", symbolic.trajectory_id)
-                    with span("realize", selected=len(assessment.selected)):
-                        sentence = partition_sentence(
-                            source, destination, assessment.selected,
-                            self.registry, is_first,
-                        )
+                    sentence = partition_sentence(
+                        source, destination, assessment.selected,
+                        self.registry, is_first,
+                    )
             except ReproError as exc:
                 if _propagates(exc, strict):
                     raise
@@ -752,7 +747,8 @@ def _sanitize(
     raw: RawTrajectory, config: SanitizerConfig | None
 ) -> tuple[RawTrajectory, SanitizationReport]:
     """Run the sanitizer; a repaired input is announced as a ``sanitization`` event."""
-    raw, cleaned = sanitize_trajectory(raw, config)
+    with span("sanitize", trajectory_id=raw.trajectory_id):
+        raw, cleaned = sanitize_trajectory(raw, config)
     if not cleaned.clean:
         emit_event(
             "sanitization", "sanitize", raw.trajectory_id,

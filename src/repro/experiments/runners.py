@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import SummarizerConfig, TrajectorySummary
 from repro.exceptions import CalibrationError, ConfigError
-from repro.obs import timed_span
+from repro.obs import Timer, span
 from repro.experiments.ff import feature_frequency, landmark_usage
 from repro.experiments.userstudy import (
     GradedSummary,
@@ -309,12 +309,11 @@ def run_efficiency(
         except CalibrationError:
             continue
 
-    # |T| buckets of width 10 landmarks.  ``timed_span`` is the same timer
-    # the pipeline instrumentation uses, so these experiment timings appear
-    # as ``experiment.summarize`` spans in any active trace.
+    # |T| buckets of width 10 landmarks.  Each timing also opens an
+    # ``experiment.summarize`` span, so it shows up in any active trace.
     buckets: dict[int, list[float]] = {}
     for trip, symbolic in calibrated:
-        with timed_span("experiment.summarize", size=len(symbolic)) as timer:
+        with span("experiment.summarize", size=len(symbolic)), Timer() as timer:
             scenario.stmaker.summarize_calibrated(trip.raw, symbolic)
         buckets.setdefault(len(symbolic) // 10, []).append(timer.ms)
     by_size = [
@@ -327,7 +326,7 @@ def run_efficiency(
     for k in ks:
         times = []
         for trip, symbolic in sample:
-            with timed_span("experiment.summarize", k=k) as timer:
+            with span("experiment.summarize", k=k), Timer() as timer:
                 scenario.stmaker.summarize_calibrated(trip.raw, symbolic, k=k)
             times.append(timer.ms)
         by_k.append((k, float(np.mean(times))))

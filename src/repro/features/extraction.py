@@ -27,7 +27,7 @@ from repro.features.base import (
 from repro.features.moving import MovingFeatureExtractor, MovingFeatures
 from repro.features.routing import RoutingFeatureComputer, RoutingFeatures
 from repro.landmarks import LandmarkIndex
-from repro.obs import metrics, span
+from repro.obs import metrics
 from repro.roadnet import RoadNetwork
 from repro.trajectory import (
     RawTrajectory,
@@ -85,8 +85,7 @@ class FeaturePipeline:
         self, raw: RawTrajectory, symbolic: SymbolicTrajectory
     ) -> list[SegmentFeatures]:
         """Feature values for every segment of *symbolic*."""
-        with span("extract_features", segments=symbolic.segment_count):
-            out = [self.extract_segment(raw, seg) for seg in symbolic.segments()]
+        out = [self.extract_segment(raw, seg) for seg in symbolic.segments()]
         metrics().counter("features.segments_extracted").inc(len(out))
         return out
 

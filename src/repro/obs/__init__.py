@@ -40,14 +40,11 @@ from repro.obs.events import (
     EventLog,
     JsonlEventSink,
     PipelineEvent,
-    clear_stage_sink,
     disable_events,
     emit_event,
     enable_events,
     events,
     events_enabled,
-    stage_scope,
-    stage_sink,
 )
 from repro.obs.export import (
     chrome_trace_events,
@@ -119,8 +116,8 @@ from repro.obs.trace import (
     get_collector,
     new_trace_id,
     span,
+    span_listener,
     start_trace,
-    timed_span,
     tracing_enabled,
     use_trace,
     wall_clock_of,
@@ -129,7 +126,7 @@ from repro.obs.trace import (
 __all__ = [
     # trace
     "span",
-    "timed_span",
+    "span_listener",
     "Timer",
     "Span",
     "SpanRecord",
@@ -202,9 +199,6 @@ __all__ = [
     "disable_events",
     "events_enabled",
     "emit_event",
-    "stage_scope",
-    "stage_sink",
-    "clear_stage_sink",
     # artifact analysis
     "load_spans",
     "load_events",

@@ -1,8 +1,8 @@
 """Typed, subscribable pipeline event stream.
 
 Where spans answer *how long* and metrics answer *how many*, events answer
-*what happened, in order*: stage starts and ends, degradations, retries,
-quarantines, sanitizations, and batch progress flow through a process-wide
+*what happened, in order*: degradations, retries, quarantines,
+sanitizations, item ends, and batch progress flow through a process-wide
 :class:`EventBus` that anyone can subscribe to — an in-memory
 :class:`EventLog` for tests and reports, a :class:`JsonlEventSink` for
 tailing a run from another terminal, or any plain callable.
@@ -28,14 +28,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 #: The closed vocabulary of event kinds the pipeline emits.
 EVENT_KINDS: frozenset[str] = frozenset({
-    "stage_start",    # a pipeline stage (or the whole summarize) began
-    "stage_end",      # ... finished; payload has duration_ms + status
     "degradation",    # a stage fallback absorbed an error
     "retry",          # summarize_many retrying a TransientError
     "quarantine",     # summarize_many gave up on an item
@@ -328,119 +325,3 @@ def emit_event(
     bus = _active
     if bus is not None:
         bus.emit(kind, stage, trajectory_id, **payload)
-
-
-class _NullStageScope:
-    """Shared do-nothing scope returned while the stream is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullStageScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_STAGE_SCOPE = _NullStageScope()
-
-#: A per-stage duration listener: ``fn(stage, duration_s, ok)``.  Unlike a
-#: bus subscriber this is context-local and always-on capable — it is how
-#: :class:`~repro.resilience.LatencyBreakdown` collects per-stage time for
-#: every item without requiring the event stream (or tracing) to be
-#: enabled.
-StageSink = Callable[[str, float, bool], None]
-
-_stage_sink: ContextVar[StageSink | None] = ContextVar(
-    "repro_obs_stage_sink", default=None
-)
-
-
-class stage_sink:
-    """Install *fn* as the context-local stage listener for the block.
-
-    While active, every :func:`stage_scope` in this thread/task calls
-    ``fn(stage, duration_s, ok)`` on exit — even with the event stream
-    disabled.  ``stage_sink(None)`` is a no-op.
-    """
-
-    __slots__ = ("_fn", "_token")
-
-    def __init__(self, fn: StageSink | None) -> None:
-        self._fn = fn
-
-    def __enter__(self) -> StageSink | None:
-        self._token = _stage_sink.set(self._fn) if self._fn is not None else None
-        return self._fn
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._token is not None:
-            _stage_sink.reset(self._token)
-        return False
-
-
-def clear_stage_sink() -> None:
-    """Drop an inherited context-local stage listener (forked workers).
-
-    The sibling of :func:`repro.obs.trace.clear_span_context`: a listener
-    captured over ``fork`` would accumulate the worker's stage times into
-    the *parent's* breakdown object (a copy, so the data would be lost
-    twice over).
-    """
-    _stage_sink.set(None)
-
-
-class _StageScope:
-    """Emits ``stage_start`` on entry, ``stage_end`` (+duration/status) on
-    exit, and feeds the context-local :class:`stage_sink` listener."""
-
-    __slots__ = ("_bus", "_stage", "_trajectory_id", "_sink", "_start")
-
-    def __init__(
-        self,
-        bus: EventBus | None,
-        stage: str,
-        trajectory_id: str | None,
-        sink: StageSink | None = None,
-    ) -> None:
-        self._bus = bus
-        self._stage = stage
-        self._trajectory_id = trajectory_id
-        self._sink = sink
-
-    def __enter__(self) -> "_StageScope":
-        if self._bus is not None:
-            self._bus.emit("stage_start", self._stage, self._trajectory_id)
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        duration_s = time.perf_counter() - self._start
-        if self._sink is not None:
-            try:
-                self._sink(self._stage, duration_s, exc_type is None)
-            except Exception:
-                pass  # a broken listener must not take down the stage
-        if self._bus is not None:
-            payload: dict[str, object] = {
-                "duration_ms": duration_s * 1000.0,
-                "status": "ok" if exc_type is None else "error",
-            }
-            if exc_type is not None:
-                payload["error"] = f"{exc_type.__name__}: {exc}"
-            self._bus.emit("stage_end", self._stage, self._trajectory_id, **payload)
-        return False  # never swallow the exception
-
-
-def stage_scope(stage: str, trajectory_id: str | None = None):
-    """A context manager bracketing one stage with start/end events.
-
-    Mirrors :func:`repro.obs.span`: when the stream is disabled *and* no
-    context-local :class:`stage_sink` listener is installed, this returns
-    a shared no-op singleton, so instrumented stages stay free by default.
-    """
-    bus = _active
-    sink = _stage_sink.get()
-    if bus is None and sink is None:
-        return _NULL_STAGE_SCOPE
-    return _StageScope(bus, stage, trajectory_id, sink)

@@ -9,7 +9,7 @@ per-stage time breakdown (the benchmark harness).
 
 Tracing is **off by default** and the disabled path is engineered to stay
 off the profile: ``span(...)`` then returns a shared no-op singleton, so
-an instrumented call site costs one function call and one attribute test.
+an instrumented call site costs one function call and two ``None`` tests.
 Enable it explicitly::
 
     from repro import obs
@@ -20,8 +20,13 @@ Enable it explicitly::
     obs.disable_tracing()
 
 Stage span names used by the pipeline instrumentation are listed in
-``docs/OBSERVABILITY.md``: ``summarize`` > ``calibrate``,
-``extract_features``, ``partition``, ``select``, ``realize``.
+``docs/OBSERVABILITY.md``: ``summarize`` > ``calibrate``, ``extract``,
+``partition``, ``select``, ``realize``.
+
+A context-local :class:`span_listener` hears every span that ends in its
+block as ``fn(name, duration_s, ok)``, traced or not: it is how each
+batch item's :class:`~repro.resilience.LatencyBreakdown` sums its span
+subtree per name without tracing being enabled.
 
 Request-scoped identity rides on top of the span machinery: a
 :class:`TraceContext` names one request (an item of a batch) with a
@@ -41,6 +46,7 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import Callable
 
 #: Paired wall/monotonic anchor taken at import: ``perf_counter`` spans
 #: are mapped onto the unix timeline via ``_ANCHOR_UNIX + (t - _ANCHOR_PERF)``.
@@ -202,11 +208,14 @@ def clear_span_context() -> None:
     ``ContextVar`` state — including a live span stack whose ids belong
     to the *parent's* collector.  Left in place, the worker's first span
     would claim one of those ids as its parent, and the parent-side graft
-    would remap it onto an unrelated (possibly its own) span.  Workers
-    call this alongside dropping the inherited sinks.
+    would remap it onto an unrelated (possibly its own) span.  An
+    inherited :class:`span_listener` goes too: it would add the worker's
+    span times to a dead copy of a parent object.  Workers call this
+    alongside dropping the inherited sinks.
     """
     _stack.set(())
     _trace_ctx.set(None)
+    _listener.set(None)
 
 
 class use_trace:
@@ -375,7 +384,7 @@ class TraceCollector:
 
 
 class _NullSpan:
-    """Shared do-nothing span returned while tracing is disabled."""
+    """Shared do-nothing span returned while nothing listens."""
 
     __slots__ = ()
 
@@ -398,21 +407,63 @@ _stack: ContextVar[tuple["Span", ...]] = ContextVar("repro_obs_span_stack", defa
 
 _collector: TraceCollector | None = None
 
+#: A span-end listener: ``fn(name, duration_s, ok)``.
+SpanListener = Callable[[str, float, bool], None]
+
+_listener: ContextVar[SpanListener | None] = ContextVar(
+    "repro_obs_span_listener", default=None
+)
+
+
+class span_listener:
+    """Install *fn* as the context-local span listener for the block.
+
+    While active, every span that ends in this thread/task calls
+    ``fn(name, duration_s, ok)`` — even with tracing disabled.
+    ``span_listener(None)`` is a no-op.
+    """
+
+    __slots__ = ("_fn", "_token")
+
+    def __init__(self, fn: SpanListener | None) -> None:
+        self._fn = fn
+
+    def __enter__(self) -> SpanListener | None:
+        self._token = _listener.set(self._fn) if self._fn is not None else None
+        return self._fn
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._token is not None:
+            _listener.reset(self._token)
+        return False
+
 
 class Span:
-    """An active span; use via :func:`span`, not directly."""
+    """An active span; use via :func:`span`, not directly.
+
+    With a collector it records a :class:`SpanRecord`; with a listener
+    it reports ``(name, duration_s, ok)``.  Without a collector it stays
+    off the span stack: it has no id a child could link to.
+    """
 
     __slots__ = (
         "name", "tags", "span_id", "parent_id", "depth", "trace_id",
         "duration_ms", "status", "error",
-        "_collector", "_start", "_token",
+        "_collector", "_listener", "_start", "_token",
     )
 
-    def __init__(self, name: str, tags: dict[str, object], collector: TraceCollector) -> None:
+    def __init__(
+        self,
+        name: str,
+        tags: dict[str, object],
+        collector: TraceCollector | None,
+        listener: SpanListener | None,
+    ) -> None:
         self.name = name
         self.tags = tags
         self._collector = collector
-        self.span_id = collector.next_span_id()
+        self._listener = listener
+        self.span_id = collector.next_span_id() if collector is not None else 0
         self.parent_id: int | None = None
         self.depth = 0
         self.trace_id: str | None = None
@@ -425,56 +476,66 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        stack = _stack.get()
-        if stack:
-            parent = stack[-1]
-            self.parent_id = parent.span_id
-            self.depth = parent.depth + 1
-            self.trace_id = parent.trace_id
-        if self.trace_id is None:
-            # Entering the traced region: the first span under an active
-            # request context adopts its trace id (children inherit via
-            # the stack above), and — when this thread has no local
-            # ancestry — its cross-boundary parent link.
-            ctx = _trace_ctx.get()
-            if ctx is not None:
-                self.trace_id = ctx.trace_id
-                if not stack:
-                    self.parent_id = ctx.parent_span_id
-                    if ctx.parent_span_id is not None:
-                        self.depth = ctx.parent_depth + 1
-        self._token = _stack.set(stack + (self,))
+        if self._collector is not None:
+            stack = _stack.get()
+            if stack:
+                parent = stack[-1]
+                self.parent_id = parent.span_id
+                self.depth = parent.depth + 1
+                self.trace_id = parent.trace_id
+            if self.trace_id is None:
+                # Entering the traced region: the first span under an active
+                # request context adopts its trace id (children inherit via
+                # the stack above), and — when this thread has no local
+                # ancestry — its cross-boundary parent link.
+                ctx = _trace_ctx.get()
+                if ctx is not None:
+                    self.trace_id = ctx.trace_id
+                    if not stack:
+                        self.parent_id = ctx.parent_span_id
+                        if ctx.parent_span_id is not None:
+                            self.depth = ctx.parent_depth + 1
+            self._token = _stack.set(stack + (self,))
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        end = time.perf_counter()
-        _stack.reset(self._token)
-        self.duration_ms = (end - self._start) * 1000.0
+        duration_s = time.perf_counter() - self._start
+        self.duration_ms = duration_s * 1000.0
         if exc_type is not None:
             self.status = "error"
             self.error = f"{exc_type.__name__}: {exc}"
-        self._collector.add(
-            SpanRecord(
-                self.span_id, self.parent_id, self.name, self._start,
-                self.duration_ms, self.status, self.error, self.depth, self.tags,
-                threading.get_ident(), self.trace_id, wall_clock_of(self._start),
+        if self._listener is not None:
+            try:
+                self._listener(self.name, duration_s, exc_type is None)
+            except Exception:
+                pass  # a broken listener must not take down the span's work
+        if self._collector is not None:
+            _stack.reset(self._token)
+            self._collector.add(
+                SpanRecord(
+                    self.span_id, self.parent_id, self.name, self._start,
+                    self.duration_ms, self.status, self.error, self.depth,
+                    self.tags, threading.get_ident(), self.trace_id,
+                    wall_clock_of(self._start),
+                )
             )
-        )
         return False  # never swallow the exception
 
 
 def span(name: str, **tags: object):
     """A context manager measuring one named unit of work.
 
-    When tracing is disabled (the default) this returns a shared no-op
-    singleton; when enabled it returns a live :class:`Span` recording wall
-    time, outcome (``ok``/``error``), nesting, and *tags*.
+    With tracing disabled and no :class:`span_listener` installed (the
+    default) this returns a shared no-op singleton; otherwise it returns
+    a live :class:`Span` recording wall time, outcome (``ok``/``error``),
+    nesting, and *tags*.
     """
     collector = _collector
-    if collector is None:
+    listener = _listener.get()
+    if collector is None and listener is None:
         return NULL_SPAN
-    return Span(name, tags, collector)
+    return Span(name, tags, collector, listener)
 
 
 class Timer:
@@ -482,7 +543,8 @@ class Timer:
 
     Unlike :func:`span` it measures even when tracing is disabled — it is
     the substrate for experiment timings (Fig. 12) that must not depend on
-    observability being switched on.
+    observability being switched on.  Pair it with a span to also trace
+    the block: ``with span("summarize"), Timer() as t: ...``.
     """
 
     __slots__ = ("_start", "ms")
@@ -494,31 +556,6 @@ class Timer:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.ms = (time.perf_counter() - self._start) * 1000.0
-        return False
-
-
-class timed_span:
-    """Time a block unconditionally *and* trace it when tracing is enabled.
-
-    The single code path shared by pipeline instrumentation and the
-    experiment runners: ``with timed_span("summarize") as t: ...`` always
-    yields a :class:`Timer` (so ``t.ms`` is valid afterwards) and records a
-    span when a collector is installed.
-    """
-
-    __slots__ = ("_span", "_timer")
-
-    def __init__(self, name: str, **tags: object) -> None:
-        self._span = span(name, **tags)
-        self._timer = Timer()
-
-    def __enter__(self) -> Timer:
-        self._span.__enter__()
-        return self._timer.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._timer.__exit__(exc_type, exc, tb)
-        self._span.__exit__(exc_type, exc, tb)
         return False
 
 
@@ -536,7 +573,7 @@ def enable_tracing(
 
 
 def disable_tracing() -> None:
-    """Stop collecting spans; ``span()`` returns the no-op singleton again."""
+    """Stop collecting spans; with no listener, ``span()`` is a no-op again."""
     global _collector
     _collector = None
 

@@ -32,8 +32,9 @@ class LatencyBreakdown:
     worker or the serial run), *exec* (inside summarization attempts),
     *backoff* (sleeping between transient retries), and *reassembly*
     (input-order rebuild after the pool drained — a per-batch constant).
-    ``stages_s`` splits exec time by pipeline stage via the
-    :class:`~repro.obs.events.stage_sink` hook.
+    ``stages_s`` is the item span's subtree summed per span name, heard
+    through a :class:`~repro.obs.span_listener` whether or not tracing
+    is on.
     """
 
     #: Request identity, when a :class:`~repro.obs.TraceContext` was active.
@@ -45,15 +46,17 @@ class LatencyBreakdown:
     exec_s: float = 0.0
     backoff_s: float = 0.0
     reassembly_s: float = 0.0
-    #: Wall-clock seconds from pickup to settled outcome (exec + backoff).
+    #: Wall-clock seconds from pickup to settled outcome: sanitize,
+    #: exec and backoff.
     total_s: float = 0.0
-    #: Execution seconds per pipeline stage (``calibrate``, ``partition``,
-    #: ...), plus the umbrella ``summarize`` scope.
+    #: Seconds per span name below the item's ``item`` span: the
+    #: pipeline stages (``calibrate``, ``partition``, ...), ``partition.dp``,
+    #: and the umbrella ``sanitize``, ``attempt`` and ``summarize`` spans.
     stages_s: dict[str, float] = field(default_factory=dict)
 
-    def note_stage(self, stage: str, duration_s: float, ok: bool = True) -> None:
-        """A :class:`~repro.obs.events.StageSink`-shaped accumulator."""
-        self.stages_s[stage] = self.stages_s.get(stage, 0.0) + duration_s
+    def note_span(self, name: str, duration_s: float, ok: bool = True) -> None:
+        """A :data:`~repro.obs.trace.SpanListener`-shaped accumulator."""
+        self.stages_s[name] = self.stages_s.get(name, 0.0) + duration_s
 
     def to_dict(self) -> dict[str, object]:
         return {

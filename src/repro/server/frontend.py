@@ -371,6 +371,7 @@ class SummarizationServer:
         self._publish_queue_gauges()
         status = "ok"
         result: BatchResult | None = None
+        error: Exception | None = None
         try:
             # Chaos armed on the underlying model after this server was
             # built must still fire: sync the injector reference (shared
@@ -397,39 +398,46 @@ class SummarizationServer:
             )
         except Exception as exc:  # strict mode, config errors, breaker, ...
             status = type(exc).__name__
-            handle._fail(exc)
+            error = exc
             with self._lock:
                 self._failed += 1
             metrics().counter("server.requests.failed").inc()
         else:
-            handle._resolve(result)
             with self._lock:
                 self._served += 1
             metrics().counter("server.requests.served").inc()
         finally:
-            entry.ticket.release()
-            with self._lock:
-                self._in_flight -= 1
-            handle.service_s = time.perf_counter() - started
-            m = metrics()
-            m.histogram("server.request.latency_ms").observe(
-                (handle.queue_wait_s + handle.service_s) * 1000.0
-            )
-            m.histogram("server.request.queue_wait_ms").observe(
-                handle.queue_wait_s * 1000.0
-            )
-            emit_event(
-                "request_done",
-                request_id=handle.request_id, tenant=tenant,
-                items=handle.n_items, status=status,
-                ok=result.ok_count if result is not None else 0,
-                quarantined=(
-                    result.quarantined_count if result is not None else 0
-                ),
-                duration_ms=handle.service_s * 1000.0,
-                queue_wait_ms=handle.queue_wait_s * 1000.0,
-            )
-            self._publish_queue_gauges()
+            try:
+                entry.ticket.release()
+                with self._lock:
+                    self._in_flight -= 1
+                handle.service_s = time.perf_counter() - started
+                m = metrics()
+                m.histogram("server.request.latency_ms").observe(
+                    (handle.queue_wait_s + handle.service_s) * 1000.0
+                )
+                m.histogram("server.request.queue_wait_ms").observe(
+                    handle.queue_wait_s * 1000.0
+                )
+                emit_event(
+                    "request_done",
+                    request_id=handle.request_id, tenant=tenant,
+                    items=handle.n_items, status=status,
+                    ok=result.ok_count if result is not None else 0,
+                    quarantined=(
+                        result.quarantined_count if result is not None else 0
+                    ),
+                    duration_ms=handle.service_s * 1000.0,
+                    queue_wait_ms=handle.queue_wait_s * 1000.0,
+                )
+                self._publish_queue_gauges()
+            finally:
+                # Settle the handle last: a caller it wakes must already
+                # see the ledger, the released ticket and ``request_done``.
+                if error is not None:
+                    handle._fail(error)
+                elif result is not None:
+                    handle._resolve(result)
 
     # -- model swap ---------------------------------------------------------------
 

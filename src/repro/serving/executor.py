@@ -59,7 +59,6 @@ from repro.obs import (
     TraceContext,
     capture_telemetry,
     clear_span_context,
-    clear_stage_sink,
     disable_events,
     disable_metrics,
     disable_tracing,
@@ -231,14 +230,13 @@ def _reset_inherited_obs() -> None:
     sinks are dropped, not closed — the descriptors still belong to the
     parent process.  The forking thread's context-local state goes too:
     an inherited span stack carries parent-collector span ids that would
-    corrupt the parent-side graft, and an inherited stage sink would
-    account the worker's stages against a dead copy of a parent object.
+    corrupt the parent-side graft, and an inherited span listener would
+    account the worker's spans against a dead copy of a parent object.
     """
     disable_metrics()
     disable_tracing()
     disable_events()
     clear_span_context()
-    clear_stage_sink()
 
 
 def run_shard_in_process(task: ShardTask) -> ShardResult:

@@ -43,7 +43,6 @@ def _isolate_process_globals():
     obs.disable_tracing()
     obs.disable_metrics()
     obs.clear_span_context()
-    obs.clear_stage_sink()
 
 
 @pytest.fixture(scope="session")

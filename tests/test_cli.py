@@ -138,7 +138,7 @@ class TestObservabilityFlags:
         # The trace dump lands on stderr as JSON with all five stage spans.
         trace = json.loads(captured.err[captured.err.index("{"):])
         names = {span["name"] for span in trace["spans"]}
-        for stage in ("calibrate", "extract_features", "partition", "select", "realize"):
+        for stage in ("calibrate", "extract", "partition", "select", "realize"):
             assert stage in names
 
         # The metrics snapshot holds a healthy number of distinct series.
@@ -239,7 +239,7 @@ class TestExporters:
         events = [json.loads(line) for line in events_path.read_text().splitlines()]
         assert events
         kinds = {e["kind"] for e in events}
-        assert {"batch_start", "stage_start", "stage_end", "batch_end"} <= kinds
+        assert {"batch_start", "item_end", "batch_end"} <= kinds
         from repro import obs
 
         assert not obs.events_enabled()  # cleaned up after the run

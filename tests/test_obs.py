@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 
 import pytest
 
@@ -93,23 +94,63 @@ class TestSpanBasics:
         assert by_name["b"].parent_id == by_name["parent"].span_id
 
 
-class TestTimedSpan:
-    def test_times_without_tracing(self):
-        with obs.timed_span("untraced") as timer:
-            pass
-        assert timer.ms >= 0.0
-        assert not obs.tracing_enabled()
+class TestSpanListener:
+    def test_no_tracing_and_no_listener_is_the_shared_noop(self):
+        assert obs.span("a") is NULL_SPAN
+        assert obs.span("b", k=2) is NULL_SPAN
 
-    def test_times_and_traces_when_enabled(self):
+    def test_listener_hears_name_and_duration_without_recording(self):
+        heard: list[tuple[str, float, bool]] = []
+        with obs.span_listener(lambda *args: heard.append(args)):
+            with obs.span("outer", k=2) as outer:
+                with obs.span("inner"):
+                    time.sleep(0.002)
+        assert outer is not NULL_SPAN
+        assert [(name, ok) for name, _, ok in heard] == [
+            ("inner", True), ("outer", True),
+        ]
+        inner_s, outer_s = heard[0][1], heard[1][1]
+        assert 0.002 <= inner_s <= outer_s
+        assert outer.duration_ms == pytest.approx(outer_s * 1000.0)
+        assert obs.get_collector() is None, "a listener alone records nothing"
+        assert obs.span("after") is NULL_SPAN, "the listener is scoped"
+
+    def test_listener_reports_failure_and_the_error_propagates(self):
+        heard: list[tuple[str, float, bool]] = []
+        with obs.span_listener(lambda *args: heard.append(args)):
+            with pytest.raises(KeyError):
+                with obs.span("doomed"):
+                    raise KeyError("k")
+        [(name, duration_s, ok)] = heard
+        assert (name, ok) == ("doomed", False) and duration_s >= 0.0
+
+    def test_listener_and_collector_see_the_same_span(self):
+        heard: list[tuple[str, float, bool]] = []
         collector = obs.enable_tracing()
-        with obs.timed_span("both", k=2) as timer:
-            pass
+        with obs.span_listener(lambda *args: heard.append(args)):
+            with obs.span("both", k=2):
+                pass
         [record] = collector.spans()
-        assert record.name == "both"
-        assert record.tags == {"k": 2}
-        # Timer and span measure the same block.
-        assert abs(record.duration_ms - timer.ms) < 50.0
+        [(name, duration_s, ok)] = heard
+        assert (record.name, record.tags, name, ok) == ("both", {"k": 2}, "both", True)
+        assert record.duration_ms == pytest.approx(duration_s * 1000.0, rel=1e-12)
 
+    def test_broken_listener_does_not_break_the_span(self):
+        def broken(name, duration_s, ok):
+            raise RuntimeError("listener died")
+
+        with obs.span_listener(broken):
+            with obs.span("survives") as sp:
+                pass
+        assert sp.status == "ok"
+
+    def test_clear_span_context_drops_the_listener(self):
+        with obs.span_listener(lambda *args: None):
+            obs.clear_span_context()
+            assert obs.span("x") is NULL_SPAN
+
+
+class TestTimer:
     def test_timer_survives_exception(self):
         with pytest.raises(KeyError):
             with obs.Timer() as timer:

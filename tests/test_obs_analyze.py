@@ -190,12 +190,12 @@ def test_critical_path_follows_widest_child():
         rec(2, 1, "attempt", duration_ms=10.0),
         rec(3, 1, "attempt", duration_ms=19.0),
         rec(4, 3, "summarize", duration_ms=18.0),
-        rec(5, 4, "extract_features", duration_ms=12.0),
+        rec(5, 4, "extract", duration_ms=12.0),
         rec(6, 4, "partition", duration_ms=2.0),
     ]
     path = critical_path(spans)
     assert [s.name for s in path] == [
-        "item", "attempt", "summarize", "extract_features"
+        "item", "attempt", "summarize", "extract"
     ]
     assert [s.span_id for s in path] == [1, 3, 4, 5]
 

@@ -78,7 +78,7 @@ class TestTriggers:
         bus = obs.enable_events()
         bus.subscribe(recorder)
         bus.emit("progress", done=1)
-        bus.emit("stage_end", duration_ms=1.0, status="ok")
+        bus.emit("shard_end", duration_ms=1.0, ok=1, quarantined=0)
         assert not recorder.captures
 
     def test_manual_capture_includes_spans_when_tracing(self):

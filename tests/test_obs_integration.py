@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 
 #: The five pipeline stages of Fig. 3, as instrumented span names.
-PIPELINE_STAGES = ("calibrate", "extract_features", "partition", "select", "realize")
+PIPELINE_STAGES = ("calibrate", "extract", "partition", "select", "realize")
 
 
 @pytest.fixture(autouse=True)

@@ -225,7 +225,7 @@ def test_budget_exhausted_emits_once():
 
 def test_engine_ignores_other_event_kinds():
     engine, bus, log = make_engine([LATENCY])
-    bus.emit("stage_start", stage="partition")
+    bus.emit("shard_start", shard_id=0, items=1)
     bus.emit("retry", attempt=1)
     assert engine.snapshot()["samples"] == 0
     assert bus.errors == 0

@@ -365,6 +365,31 @@ def test_expired_deadline_is_typed_shed_not_hang(scenario, corpus):
         assert entry.attempts == 0
 
 
+def test_ledger_settles_before_the_handle(scenario, corpus, monkeypatch):
+    """A caller woken by its handle already sees the request accounted for:
+    served, not in flight, ticket released, ``request_done`` emitted."""
+    from repro import obs
+    from repro.server import RequestHandle
+
+    log = obs.EventLog()
+    obs.enable_events().subscribe(log)
+    seen = []
+    resolve = RequestHandle._resolve
+
+    def snapshot_then_resolve(handle, result):
+        stats = server.stats()
+        seen.append((
+            stats["served"], stats["in_flight"],
+            server.admission.queued_items, len(log.events("request_done")),
+        ))
+        resolve(handle, result)
+
+    monkeypatch.setattr(RequestHandle, "_resolve", snapshot_then_resolve)
+    with SummarizationServer(scenario.stmaker, ServerConfig()) as server:
+        server.submit(corpus).result(timeout=TIMEOUT_S)
+    assert seen == [(1, 0, 0, 1)]
+
+
 def test_tenant_deadline_defaults_apply(scenario, corpus):
     config = ServerConfig(tenant_deadline_s={"impatient": 0.0})
     with SummarizationServer(scenario.stmaker, config) as server:

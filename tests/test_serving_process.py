@@ -85,8 +85,12 @@ class TestMergedTelemetry:
         # on the parent bus, provenance preserved in relay_* payload keys.
         for event in shard_ends:
             assert event.payload["relay_source"].startswith("shard-")
-        # Item-level pipeline events made the crossing too.
-        assert len(log.events("stage_start")) > 0
+        # Item-level pipeline events made the crossing too: one relayed
+        # item_end per trip.
+        item_ends = log.events("item_end")
+        assert len(item_ends) == len(trips)
+        for event in item_ends:
+            assert event.payload["relay_source"].startswith("shard-")
         # Parent-side lifecycle events are emitted locally, not relayed.
         (batch_start,) = log.events("batch_start")
         assert "relay_source" not in batch_start.payload

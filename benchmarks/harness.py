@@ -417,9 +417,10 @@ def smoke_suite(training: int = 40, trips: int = 8) -> dict[str, Callable[[], ob
         return len(batch)
 
     def summarize_many_pooled() -> int:
-        # Pool-path smoke: guards the sharding/reassembly overhead, not
-        # parallel throughput (see benchmarks/record_serving_baseline.py
-        # for the latency-bound speedup measurement).
+        # Sharded-path smoke: four in-thread shards, so this guards the
+        # sharding/reassembly overhead; there is no parallelism to measure
+        # (benchmarks/record_serving_baseline.py records the process
+        # executor's speedup).
         stmaker.summarize_many(batch, k=2, workers=4)
         return len(batch)
 

@@ -11,8 +11,8 @@ recorded inside the synthetic city (with ``--sanitize``/``--strict``/
 ``--max-queued-items``/``--shed-policy`` failure-containment controls);
 ``stmaker experiment``
 regenerates any of the paper's evaluation figures from the command line;
-``stmaker report`` summarizes a batch of simulated trips (optionally on
-the worker pool) and writes a joined :class:`~repro.obs.RunReport`
+``stmaker report`` summarizes a batch of simulated trips (optionally
+sharded) and writes a joined :class:`~repro.obs.RunReport`
 artifact (JSON + Markdown).
 
 Every subcommand also takes the observability flags:
@@ -585,13 +585,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard (forces the pool even with --workers 1)",
+        help="items per shard (forces sharding even with --workers 1)",
     )
     serving.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="pool backend: 'thread' shares the model's memory, 'process' "
-        "breaks the GIL by serving shards from a city-model artifact "
-        "(reuses --model when given; default: thread)",
+        help="shard backend: 'thread' runs shards one after another in "
+        "this thread, 'process' breaks the GIL by serving shards from a "
+        "city-model artifact (reuses --model when given; default: thread)",
     )
     _add_containment_flags(summ)
     summ.add_argument(
@@ -627,11 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument(
         "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard (forces the pool even with --workers 1)",
+        help="items per shard (forces sharding even with --workers 1)",
     )
     rep.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="pool backend for the batch (default: thread)",
+        help="shard backend: 'thread' (default, in this thread) or 'process'",
     )
     _add_containment_flags(rep)
     rep.add_argument(
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ops.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="pool backend for each batch (default: thread)",
+        help="shard backend: 'thread' (default, in this thread) or 'process'",
     )
     ops.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
@@ -706,7 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="pool backend for each request (default: thread)",
+        help="shard backend: 'thread' (default, in the consumer thread) "
+        "or 'process'",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -323,17 +323,17 @@ class STMaker:
         :func:`repro.serving.run_sharded`; the default ``workers=1`` with
         no ``shard_size`` is its serial case, run inline on the calling
         thread.  With ``workers > 1`` (or an explicit ``shard_size``) the
-        batch is split into shards and served by a worker pool:
-        element-wise identical results in input order, but each shard
-        gets its own full ``deadline_s`` budget and runs concurrently.
-        The pool-shape options are validated for every call, serial
-        included, before admission.  ``shard_mode`` is one of
-        :data:`repro.serving.SHARD_MODES` and ``executor`` one of
-        :data:`repro.serving.EXECUTORS`: ``"thread"`` (default; shares
-        this model's memory, best for latency-bound work) or
-        ``"process"`` (true multi-core for the pure-Python CPU-bound
-        pipeline; workers rebuild the model from a city-model artifact —
-        pass ``artifact=`` a path saved with
+        batch is split into shards, with element-wise identical results
+        in input order.  The pool-shape options are validated for every
+        call, serial included, before admission.  ``shard_mode`` is one
+        of :data:`repro.serving.SHARD_MODES` and ``executor`` one of
+        :data:`repro.serving.EXECUTORS`: ``"thread"`` (default; the
+        shards run one after another in the calling thread, sharing this
+        model's memory and the batch's one ``deadline_s`` clock, exactly
+        as serial does) or ``"process"`` (true multi-core for the
+        pure-Python CPU-bound pipeline, each shard with its own full
+        ``deadline_s`` budget; workers rebuild the model from a
+        city-model artifact — pass ``artifact=`` a path saved with
         :func:`repro.artifact.save_artifact` to reuse a published file,
         or leave it ``None`` to auto-publish this model to a session
         temp artifact).

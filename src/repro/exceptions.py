@@ -88,7 +88,7 @@ class WorkerCrashError(ReproError):
     * a worker stopped making progress past its deadline budget and was
       killed by the supervisor (a hang is a crash that wastes more time);
     * a ``crash``/``hang``/``oom-sim`` fault fired in a context that
-      cannot be killed safely (a serial run, a thread worker) — the
+      cannot be killed safely (a serial or thread-executor run) — the
       fault raises this instead, so serial and supervised process runs
       quarantine the same items.
     """

@@ -77,7 +77,6 @@ from repro.obs.metrics import (
     enable_metrics,
     metrics,
     metrics_enabled,
-    scoped_metrics,
 )
 from repro.obs.profile import ProfileReport, profiled
 from repro.obs.report import RunReport, build_run_report, environment_fingerprint
@@ -158,7 +157,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_BUCKETS",
     "NULL_METRICS",
-    "scoped_metrics",
     # exporters
     "render_prometheus",
     "parse_prometheus",

@@ -5,8 +5,8 @@ A worker that cannot share memory with its parent (a
 telemetry.  The contract is one serializable bundle per worker:
 
 * **metrics** — the worker records into a *fresh*
-  :class:`~repro.obs.metrics.MetricsRegistry` (installed for its item loop
-  via :func:`~repro.obs.metrics.scoped_metrics`); its ``snapshot()`` is a
+  :class:`~repro.obs.metrics.MetricsRegistry` (its process-wide registry,
+  installed before its item loop); its ``snapshot()`` is a
   delta from zero that the parent folds in with
   :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — an
   associative, commutative merge, so deltas may arrive in any order;
@@ -20,9 +20,9 @@ telemetry.  The contract is one serializable bundle per worker:
 :class:`TelemetrySnapshot` carries all three across the boundary as plain
 dicts (JSON- and pickle-safe); :func:`capture_telemetry` builds one on the
 worker side and :func:`apply_telemetry` folds it in on the parent side.
-The thread-pool shard boundary in :mod:`repro.serving.pool` already runs
-the metrics half of this contract today, so the ROADMAP's process-parallel
-executor only has to swap the transport, not the semantics.
+The process executor (:mod:`repro.serving.executor`) is the one
+boundary that runs this contract; in-thread shards record straight into
+the live sinks.
 """
 
 from __future__ import annotations

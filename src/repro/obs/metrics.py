@@ -20,12 +20,10 @@ Series names follow ``<stage>.<quantity>[_<unit>]`` — see
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import statistics
 import threading
-from contextvars import ContextVar
 
 #: Default histogram bucket upper bounds — tuned for millisecond latencies
 #: and small counts alike (a value lands in the first bucket whose bound
@@ -428,43 +426,10 @@ NULL_METRICS = NullMetrics()
 
 _active: MetricsRegistry | NullMetrics = NULL_METRICS
 
-#: Context-local registry override.  A worker that must keep its telemetry
-#: separable (a shard thread recording a mergeable delta) installs its own
-#: registry here via :func:`scoped_metrics`; new threads and tasks start
-#: with the default ``None`` and fall through to the process-wide sink.
-_scoped: ContextVar[MetricsRegistry | None] = ContextVar(
-    "repro_obs_scoped_metrics", default=None
-)
-
 
 def metrics() -> MetricsRegistry | NullMetrics:
-    """The active registry — the no-op singleton unless enabled.
-
-    A :func:`scoped_metrics` override on the current thread/task wins over
-    the process-wide registry; instrumented call sites need not know
-    whether they run serially or inside an isolated worker.
-    """
-    scoped = _scoped.get()
-    if scoped is not None:
-        return scoped
+    """The active registry — the no-op singleton unless enabled."""
     return _active
-
-
-@contextlib.contextmanager
-def scoped_metrics(registry: MetricsRegistry):
-    """Route this thread/task's ``metrics()`` calls into *registry*.
-
-    The isolation half of the worker-delta contract: wrap the worker's
-    item loop, then ship ``registry.snapshot()`` across the boundary and
-    :meth:`MetricsRegistry.merge_snapshot` it into the parent.  The
-    override is a ``ContextVar``, so sibling workers and the main thread
-    are unaffected.
-    """
-    token = _scoped.set(registry)
-    try:
-        yield registry
-    finally:
-        _scoped.reset(token)
 
 
 def enable_metrics(registry: MetricsRegistry | None = None) -> MetricsRegistry:

@@ -145,8 +145,7 @@ class TraceContext:
     Created at admission, shipped through :class:`~repro.serving.ShardTask`
     to whatever thread or process executes the item, and activated with
     :func:`use_trace` around the item's work.  While active, every span
-    adopts :attr:`trace_id`; a span opened on an empty stack additionally
-    links to :attr:`parent_span_id` (the thread-mode batch span).
+    adopts :attr:`trace_id`.
 
     :attr:`anchor_unix_s` is the wall-clock instant the request was
     admitted — queue wait is measured against it on whichever machine the
@@ -154,15 +153,11 @@ class TraceContext:
     """
 
     trace_id: str | None
-    parent_span_id: int | None = None
-    parent_depth: int = 0
     anchor_unix_s: float = 0.0
 
     def to_dict(self) -> dict[str, object]:
         return {
             "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "parent_depth": self.parent_depth,
             "anchor_unix_s": self.anchor_unix_s,
         }
 
@@ -172,11 +167,6 @@ class TraceContext:
             trace_id=(
                 None if data.get("trace_id") is None else str(data["trace_id"])
             ),
-            parent_span_id=(
-                None if data.get("parent_span_id") is None
-                else int(data["parent_span_id"])  # type: ignore[arg-type]
-            ),
-            parent_depth=int(data.get("parent_depth", 0)),  # type: ignore[arg-type]
             anchor_unix_s=float(data.get("anchor_unix_s", 0.0)),  # type: ignore[arg-type]
         )
 
@@ -486,15 +476,10 @@ class Span:
             if self.trace_id is None:
                 # Entering the traced region: the first span under an active
                 # request context adopts its trace id (children inherit via
-                # the stack above), and — when this thread has no local
-                # ancestry — its cross-boundary parent link.
+                # the stack above).
                 ctx = _trace_ctx.get()
                 if ctx is not None:
                     self.trace_id = ctx.trace_id
-                    if not stack:
-                        self.parent_id = ctx.parent_span_id
-                        if ctx.parent_span_id is not None:
-                            self.depth = ctx.parent_depth + 1
             self._token = _stack.set(stack + (self,))
         self._start = time.perf_counter()
         return self

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # avoid the repro.core <-> repro.resilience import cycle
 class LatencyBreakdown:
     """Where one batch item's wall-clock time went, phase by phase.
 
-    Recorded for **every** item — serial, thread-pool, or process-pool —
+    Recorded for **every** item — serial, thread, or process executor —
     regardless of whether tracing/metrics/events are enabled: the cost is
     a handful of ``perf_counter`` reads against items that take
     milliseconds.  A plain mutable dataclass so it pickles across the

@@ -37,7 +37,7 @@ from repro.resilience.degradation import STAGES
 #: * ``"crash"`` — die the way a segfaulting native extension does: inside
 #:   a worker *process* the interpreter exits via ``os._exit`` (no
 #:   cleanup, no exception, the pool sees a dead worker); anywhere that
-#:   cannot be killed safely (a serial run, a thread worker) it raises
+#:   cannot be killed safely (a serial or thread-executor run) it raises
 #:   :class:`~repro.exceptions.WorkerCrashError` instead, so every
 #:   executor quarantines the same items;
 #: * ``"hang"`` — stop making progress: sleep ``latency_s`` (default

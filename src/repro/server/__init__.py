@@ -13,8 +13,9 @@ long-lived process puts in front of it:
   any thread, consumer threads serve admitted work through
   ``summarize_many``, which forwards every request to the one batch
   runner, :func:`repro.serving.run_sharded` (serial at the default
-  ``workers=1``, a thread or process pool otherwise; admission and
-  circuit breaking consumed from :mod:`repro.serving`, not reinvented).
+  ``workers=1``, in-thread shards or a process pool otherwise;
+  admission and circuit breaking consumed from :mod:`repro.serving`, not
+  reinvented).
   The pool-shape fields of the config are checked by the runner's own
   validator (:func:`repro.serving.validate_pool_shape`), so a shape the
   runner would reject fails at server build time;

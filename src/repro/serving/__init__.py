@@ -9,8 +9,9 @@ without changing semantics:
   (balanced / round-robin / stable key-hashed);
 * :mod:`~repro.serving.pool` — the one batch runner, :func:`run_sharded`
   (serial is its ``workers=1`` case): validation, admission, per-item
-  traces, live progress, and reassembly, with shards on a thread or
-  process pool under per-shard deadline budgets;
+  traces, live progress, and reassembly; thread shards run one after
+  another in the calling thread on the batch's one deadline, process
+  shards on a supervised pool under per-shard deadline budgets;
 * :mod:`~repro.serving.executor` — the one shard loop,
   :func:`run_shard`, over a :class:`ShardTask`, and the
   ``executor="process"`` backend: tasks ship to

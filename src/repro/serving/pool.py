@@ -15,15 +15,13 @@ Items run through the one shard loop,
 :class:`~repro.serving.ShardTask` per shard:
 
 * **serial** (``workers=1``, no ``shard_size``) — one task covering the
-  whole batch, run inline on the calling thread with no shard id, so it
-  emits no shard events, no ``"shard"`` span and no ``serving.*``
-  metrics;
-* ``executor="thread"`` (default) — shards on a
-  :class:`~concurrent.futures.ThreadPoolExecutor`; workers share the
-  trained model's memory for free.  Pure-Python stages serialize on the
-  GIL, so the wall-clock win comes from overlapping the *blocking*
-  portions of item latency (storage, map-service calls, injected chaos
-  latency).  It is also the only pool for unpicklable sleepers and
+  whole batch with no shard id, so it emits no shard events, no
+  ``"shard"`` span and no ``serving.*`` metrics;
+* ``executor="thread"`` (default) — the planned shards, run one after
+  another in the calling thread.  The pipeline is pure-Python CPU work
+  that would serialize on the GIL anyway, so a thread pool bought
+  nothing; shards stay a unit of telemetry and of the breaker's
+  accounting.  This is also the executor for unpicklable sleepers and
   custom feature registries;
 * ``executor="process"`` — true multi-core for the CPU-bound
   pure-Python pipeline, supervised by :mod:`repro.serving.supervisor`.
@@ -32,8 +30,9 @@ Items run through the one shard loop,
   ``artifact=`` path is given) and ship their telemetry home as a
   :class:`~repro.obs.TelemetrySnapshot` that the parent merges.
 
-Every shard gets its **own** :class:`~repro.resilience.Deadline` of the
-full budget (a slow shard cannot starve its siblings).  Sharded runs emit
+Serial and thread runs share **one** :class:`~repro.resilience.Deadline`
+for the whole batch; each process shard gets its own of the full budget
+(a slow shard cannot starve its siblings).  Sharded runs emit
 ``shard_start``/``shard_end`` events around every shard and mirror
 per-shard throughput into ``serving.shard.<id>.*`` gauges (the run
 report's per-shard breakdown).  See ``docs/SERVING.md`` for the measured
@@ -42,17 +41,14 @@ scaling profile of both executors.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigError
 from repro.obs import (
-    TraceContext,
     apply_telemetry,
     emit_event,
     events,
@@ -63,10 +59,14 @@ from repro.obs import (
     span,
     start_trace,
     tracing_enabled,
-    use_trace,
 )
-from repro.obs.metrics import MetricsRegistry, scoped_metrics
-from repro.resilience import BatchProgress, BatchResult, ItemOutcome, RetryPolicy
+from repro.resilience import (
+    BatchProgress,
+    BatchResult,
+    Deadline,
+    ItemOutcome,
+    RetryPolicy,
+)
 from repro.serving.breaker import CircuitBreaker, get_breaker
 from repro.serving.executor import (
     EXECUTORS,
@@ -122,11 +122,6 @@ class _ProgressBoard:
         self._total = total
         self._progress = progress
         self._started = time.perf_counter()
-        # Live rates are shared last-write-wins gauges, so they must land
-        # on the batch-wide registry even when the calling worker thread
-        # has a shard-local scoped registry installed — capture it now, on
-        # the coordinating thread, before any shard scope exists.
-        self._metrics = metrics()
         self.done = 0
         self.ok = 0
         self.quarantined = 0
@@ -146,9 +141,10 @@ class _ProgressBoard:
         elapsed = time.perf_counter() - self._started
         rate = done / elapsed if elapsed > 0.0 else 0.0
         eta = (self._total - done) / rate if rate > 0.0 else None
-        self._metrics.gauge("resilience.batch.items_per_s").set(rate)
+        m = metrics()
+        m.gauge("resilience.batch.items_per_s").set(rate)
         if eta is not None:
-            self._metrics.gauge("resilience.batch.eta_s").set(eta)
+            m.gauge("resilience.batch.eta_s").set(eta)
         snapshot = BatchProgress(
             done, self._total, ok, quarantined, retries, elapsed, rate, eta,
         )
@@ -187,16 +183,16 @@ def run_sharded(
     inline.  Otherwise the results match it element-wise — same
     summaries, same degradation reports, same quarantine entries, in the
     same input order (the differential suite pins this, for both
-    executors).  The only intentional divergence is the deadline: each
-    shard gets the full ``deadline_s`` budget instead of the whole batch
-    sharing one clock.
+    executors).  Serial and thread runs share one ``deadline_s`` clock
+    for the whole batch; the only intentional divergence is under the
+    process executor, where each shard gets the full budget.
 
     With ``executor="process"``, workers rebuild the model from the
     city-model artifact at *artifact* (which must hold the same trained
     state as *stmaker* for parallel ≡ serial to hold; when ``None`` the
     model is auto-published with :func:`repro.artifact.ensure_artifact`).
     Worker telemetry arrives as merged metric deltas, grafted spans, and
-    relayed events — same totals as thread mode, but per-item events
+    relayed events — same totals as a serial run, but per-item events
     surface when each shard completes rather than live, and relayed
     events carry ``relay_*`` provenance keys.
 
@@ -280,26 +276,36 @@ def run_sharded(
     board = _ProgressBoard(len(items), progress)
     try:
         with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
-            if serial:
-                results = [run_shard(stmaker, t, on_item=board.note) for t in tasks]
+            if breaker is True and not serial:
+                breaker = get_breaker(f"serving.{executor}")
+            if executor == "process" and not serial:
+                results = _run_in_processes(
+                    stmaker, tasks, workers=workers, board=board,
+                    breaker=breaker or None, batch_span=sp,
+                    artifact=artifact, shard_retry=shard_retry,
+                    max_in_flight=(
+                        admission.max_in_flight_shards
+                        if admission is not None else None
+                    ),
+                )
             else:
-                if breaker is True:
-                    breaker = get_breaker(f"serving.{executor}")
-                pool_options = {
-                    "workers": workers, "board": board,
-                    "breaker": breaker or None, "batch_span": sp,
-                }
-                if executor == "process":
-                    results = _run_in_processes(
-                        stmaker, tasks, **pool_options,
-                        artifact=artifact, shard_retry=shard_retry,
-                        max_in_flight=(
-                            admission.max_in_flight_shards
-                            if admission is not None else None
-                        ),
+                # Serial and thread shards run here, one after another,
+                # on one deadline clock; strict mode's first item error
+                # propagates straight out of the loop.
+                deadline = Deadline(deadline_s)
+                results = []
+                for task in tasks:
+                    sr = run_shard(
+                        stmaker, task, deadline=deadline, on_item=board.note
                     )
-                else:
-                    results = _run_in_threads(stmaker, tasks, **pool_options)
+                    if not serial:
+                        _publish_shard(sr, m)
+                        if breaker:
+                            # In-thread shards cannot crash a pool; the
+                            # record keeps a shared breaker's volume honest
+                            # when the two executors alternate on one name.
+                            breaker.record_success()
+                    results.append(sr)
             reassembly_started = time.perf_counter()
             result = reassemble(
                 [outcome for sr in results for outcome in sr.outcomes], len(items)
@@ -324,13 +330,13 @@ def run_sharded(
 def _publish_shard(
     sr: ShardResult, m, graft_parent_id: int | None = None
 ) -> None:
-    """Fold one finished pool shard into the parent-side sinks.
+    """Fold one finished shard into the parent-side sinks.
 
     A process worker's telemetry snapshot merges into the live registry,
     its spans graft under *graft_parent_id* (the live batch span, so they
     join the parent's tree instead of floating), and its events relay onto
     the live bus.  The ``serving.shard.<id>.*`` gauges are set here for
-    every pool shard: gauges are last-write-wins state, so they must be
+    every sharded run: gauges are last-write-wins state, so they must be
     *set* parent-side, not merged as offsets.
     """
     if sr.telemetry is not None:
@@ -347,59 +353,6 @@ def _publish_shard(
     m.gauge(f"{prefix}.quarantined").set(sr.quarantined)
     m.gauge(f"{prefix}.duration_ms").set(sr.duration_ms)
     m.gauge(f"{prefix}.items_per_s").set(sr.items_per_s)
-
-
-def _run_in_threads(
-    stmaker: "STMaker",
-    tasks: Sequence[ShardTask],
-    *,
-    workers: int,
-    board: _ProgressBoard,
-    breaker: CircuitBreaker | None,
-    batch_span,
-) -> list[ShardResult]:
-    """Serve *tasks* on a thread pool sharing *stmaker*'s memory."""
-    m = metrics()
-    # Pool threads start with an empty span stack; the link context
-    # re-parents each shard's spans under the batch span so the trace
-    # tree never fragments per thread.
-    batch_span_id = getattr(batch_span, "span_id", None)
-    link = None if batch_span_id is None else TraceContext(
-        trace_id=None,
-        parent_span_id=batch_span_id,
-        parent_depth=getattr(batch_span, "depth", 0),
-    )
-
-    def serve(task: ShardTask) -> ShardResult:
-        # Each shard records counters/histograms into its own registry and
-        # merges the delta when it ends — the process workers' telemetry
-        # contract, run at the thread boundary.
-        registry = MetricsRegistry() if metrics_enabled() else None
-        with use_trace(link), (
-            scoped_metrics(registry) if registry is not None
-            else contextlib.nullcontext()
-        ):
-            sr = run_shard(stmaker, task, on_item=board.note)
-        if registry is not None:
-            m.merge_snapshot(registry.snapshot())
-        return sr
-
-    results: list[ShardResult] = []
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-serving"
-    ) as pool:
-        # In strict mode a worker raises; iterating re-raises the first
-        # failure in shard order, matching the serial raise-on-first-error
-        # contract.
-        for sr in pool.map(serve, tasks):
-            _publish_shard(sr, m)
-            results.append(sr)
-            if breaker is not None:
-                # Thread shards cannot crash the pool; the record keeps a
-                # shared breaker's volume honest when the two executors
-                # alternate on one name.
-                breaker.record_success()
-    return results
 
 
 def _run_in_processes(

@@ -1,6 +1,6 @@
-"""Tests for cross-process telemetry aggregation: merge_snapshot,
-scoped registries, span batches, event relays, TelemetrySnapshot, and the
-shard-boundary differential (merged per-shard deltas == serial registry)."""
+"""Tests for cross-process telemetry aggregation: merge_snapshot, span
+batches, event relays, TelemetrySnapshot, and the shard differential
+(sharded registry == serial registry)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from repro.obs import (
     apply_telemetry,
     capture_telemetry,
 )
-from repro.obs.metrics import scoped_metrics
 from repro.obs.trace import SpanRecord
 
 
@@ -166,34 +165,6 @@ class TestMergeProperties:
             t.join()
         assert not errors
         assert target.snapshot() == _fold(deltas)
-
-
-class TestScopedMetrics:
-    def test_scoped_registry_shadows_active(self):
-        registry = obs.enable_metrics()
-        local = MetricsRegistry()
-        with scoped_metrics(local):
-            obs.metrics().counter("scoped.calls").inc()
-        obs.metrics().counter("global.calls").inc()
-        assert local.snapshot()["scoped.calls"]["value"] == 1.0
-        assert "scoped.calls" not in registry.snapshot()
-        assert "global.calls" not in local.snapshot()
-
-    def test_scope_restored_after_exception(self):
-        registry = obs.enable_metrics()
-        with pytest.raises(RuntimeError):
-            with scoped_metrics(MetricsRegistry()):
-                raise RuntimeError("boom")
-        assert obs.metrics() is registry
-
-    def test_new_threads_start_unscoped(self):
-        registry = obs.enable_metrics()
-        seen: list[object] = []
-        with scoped_metrics(MetricsRegistry()):
-            t = threading.Thread(target=lambda: seen.append(obs.metrics()))
-            t.start()
-            t.join()
-        assert seen == [registry], "a worker thread must not inherit the scope"
 
 
 class TestSpanBatches:

@@ -73,21 +73,6 @@ def test_span_adopts_active_trace(clean_tracing):
     assert obs.trace_problems(collector.spans()) == []
 
 
-def test_link_only_context_reparents_without_trace(clean_tracing):
-    # The thread-pool handshake: a link-only context carries the batch
-    # span's id so shard spans opened in pool threads join its tree, but
-    # assigns no request identity.
-    collector = clean_tracing
-    link = obs.TraceContext(trace_id=None, parent_span_id=77, parent_depth=3)
-    with obs.use_trace(link):
-        with obs.span("shard"):
-            pass
-    (shard,) = collector.spans()
-    assert shard.parent_id == 77
-    assert shard.depth == 4
-    assert shard.trace_id is None
-
-
 def test_clear_span_context_drops_inherited_state(clean_tracing):
     # What a fork-started worker must do: without the reset, the next
     # span would claim the (parent-process) stack top as its parent.

@@ -44,7 +44,7 @@ def clean_obs():
 def _deterministic_view(snapshot: dict) -> dict:
     """Counters and non-timing histogram buckets — the series that must be
     bit-identical between serial and process-sharded runs (same filter as
-    the thread-mode merge differential in ``test_obs_aggregate.py``)."""
+    the in-thread shard differential in ``test_obs_aggregate.py``)."""
     out = {}
     for name, data in snapshot.items():
         if name.startswith("serving.") or name.startswith("artifact."):

@@ -417,8 +417,9 @@ def smoke_suite(training: int = 40, trips: int = 8) -> dict[str, Callable[[], ob
         return len(batch)
 
     def summarize_many_pooled() -> int:
-        # Sharded-path smoke: four in-thread shards, so this guards the
-        # sharding/reassembly overhead; there is no parallelism to measure
+        # Batch-runner smoke: a thread batch runs the serial loop at any
+        # worker count, so this guards the runner/reassembly overhead;
+        # there is no parallelism to measure
         # (benchmarks/record_serving_baseline.py records the process
         # executor's speedup).
         stmaker.summarize_many(batch, k=2, workers=4)

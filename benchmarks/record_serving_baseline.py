@@ -2,9 +2,9 @@
 
 Measures :meth:`STMaker.summarize_many` serial versus sharded serving
 at 2 / 4 / 8 workers on the smoke corpus, on the bare pipeline
-(**cpu-bound**), recorded for both executors.  The thread executor runs
-its shards one after another in the calling thread, so ~1.0× is its
-ceiling by construction and the ratio watches the sharding overhead;
+(**cpu-bound**), recorded for both executors.  A thread batch runs the
+serial loop at any worker count, so ~1.0× is its ceiling by construction
+and the ratio watches the batch runner's overhead;
 the process executor (``executor="process"``, serving from a city-model
 artifact) is the one that can beat it, and its speedup is recorded
 against the >1.5×-at-4-workers target — *advisory-skipped* when the
@@ -228,8 +228,8 @@ def run(rounds: int, training: int, trips: int) -> dict:
         "hot_cache": hot_cache,
         "process_speedup_at_4_workers": process["speedup"]["4"],
         "note": (
-            "cpu_bound is the bare pipeline on the thread executor, whose "
-            "shards run one after another in the calling thread, so ~1.0x "
+            "cpu_bound is the bare pipeline on the thread executor, which "
+            "runs the serial loop at any worker count, so ~1.0x "
             "is its ceiling by construction; cpu_bound_process serves the same "
             "batch with executor='process' from the city-model artifact on "
             f"a {os.cpu_count()}-CPU container — see its multicore_criterion "

@@ -139,8 +139,8 @@ def _add_containment_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--breaker", action="store_true",
-        help="arm the per-executor circuit breaker: crash storms route "
-        "shards to a degraded in-parent path until the pool recovers",
+        help="arm the process executor's circuit breaker: crash storms "
+        "route shards to a degraded in-parent path until the pool recovers",
     )
     group.add_argument(
         "--max-in-flight", type=int, default=None, metavar="N",
@@ -581,16 +581,18 @@ def build_parser() -> argparse.ArgumentParser:
     serving = summ.add_argument_group("serving")
     serving.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="workers for the sharded batch pool (default: 1, serial)",
+        help="worker processes under --executor process (default: 1, "
+        "serial; no effect under thread)",
     )
     serving.add_argument(
         "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard (forces sharding even with --workers 1)",
+        help="items per shard under --executor process (shards even with "
+        "--workers 1; no effect under thread)",
     )
     serving.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="shard backend: 'thread' runs shards one after another in "
-        "this thread, 'process' breaks the GIL by serving shards from a "
+        help="batch backend: 'thread' runs the batch serially in this "
+        "thread, 'process' breaks the GIL by serving shards from a "
         "city-model artifact (reuses --model when given; default: thread)",
     )
     _add_containment_flags(summ)
@@ -623,15 +625,18 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-k", type=int, default=None, help="partition count")
     rep.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="workers for the sharded batch pool (default: 1, serial)",
+        help="worker processes under --executor process (default: 1, "
+        "serial; no effect under thread)",
     )
     rep.add_argument(
         "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard (forces sharding even with --workers 1)",
+        help="items per shard under --executor process (shards even with "
+        "--workers 1; no effect under thread)",
     )
     rep.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="shard backend: 'thread' (default, in this thread) or 'process'",
+        help="batch backend: 'thread' (default, serial in this thread) or "
+        "'process' (sharded across worker processes)",
     )
     _add_containment_flags(rep)
     rep.add_argument(
@@ -659,11 +664,13 @@ def build_parser() -> argparse.ArgumentParser:
     ops.add_argument("-k", type=int, default=None, help="partition count")
     ops.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="workers for each batch (default: 1, serial)",
+        help="worker processes per batch under --executor process "
+        "(default: 1, serial; no effect under thread)",
     )
     ops.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="shard backend: 'thread' (default, in this thread) or 'process'",
+        help="batch backend: 'thread' (default, serial in this thread) or "
+        "'process' (sharded across worker processes)",
     )
     ops.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
@@ -702,12 +709,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="summarize_many workers per request (default: 1, serial)",
+        help="worker processes per request under --executor process "
+        "(default: 1, serial; no effect under thread)",
     )
     serve.add_argument(
         "--executor", choices=["thread", "process"], default="thread",
-        help="shard backend: 'thread' (default, in the consumer thread) "
-        "or 'process'",
+        help="batch backend: 'thread' (default, serial in the consumer "
+        "thread) or 'process' (sharded across worker processes)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -299,7 +299,6 @@ class STMaker:
         progress: Callable[[BatchProgress], None] | None = None,
         workers: int = 1,
         shard_size: int | None = None,
-        shard_mode: str = "balanced",
         executor: str = "thread",
         artifact: "str | None" = None,
         shard_retry: "ShardRetryPolicy | None" = None,
@@ -320,23 +319,21 @@ class STMaker:
         run inside the items either).
 
         Every call is served by the one batch runner,
-        :func:`repro.serving.run_sharded`; the default ``workers=1`` with
-        no ``shard_size`` is its serial case, run inline on the calling
-        thread.  With ``workers > 1`` (or an explicit ``shard_size``) the
-        batch is split into shards, with element-wise identical results
-        in input order.  The pool-shape options are validated for every
-        call, serial included, before admission.  ``shard_mode`` is one
-        of :data:`repro.serving.SHARD_MODES` and ``executor`` one of
-        :data:`repro.serving.EXECUTORS`: ``"thread"`` (default; the
-        shards run one after another in the calling thread, sharing this
-        model's memory and the batch's one ``deadline_s`` clock, exactly
-        as serial does) or ``"process"`` (true multi-core for the
-        pure-Python CPU-bound pipeline, each shard with its own full
-        ``deadline_s`` budget; workers rebuild the model from a
-        city-model artifact — pass ``artifact=`` a path saved with
+        :func:`repro.serving.run_sharded`.  ``executor`` is one of
+        :data:`repro.serving.EXECUTORS`: ``"thread"`` (default) runs the
+        batch serially in the calling thread, sharing this model's memory
+        and one ``deadline_s`` clock; ``workers`` and ``shard_size`` are
+        accepted and have no effect there.  ``"process"`` with
+        ``workers > 1`` (or an explicit ``shard_size``) splits the batch
+        into contiguous shards served by worker processes — true
+        multi-core for the pure-Python CPU-bound pipeline — with
+        element-wise identical results in input order, each shard with
+        its own full ``deadline_s`` budget; workers rebuild the model
+        from a city-model artifact (pass ``artifact=`` a path saved with
         :func:`repro.artifact.save_artifact` to reuse a published file,
         or leave it ``None`` to auto-publish this model to a session
-        temp artifact).
+        temp artifact).  The pool-shape options are validated for every
+        call, serial included, before admission.
 
         A ``progress`` callback receives a :class:`BatchProgress` snapshot
         after every item; the live rate and ETA are also mirrored into the
@@ -346,9 +343,9 @@ class STMaker:
         Failure containment (``docs/ROBUSTNESS.md``): *shard_retry* bounds
         how the process executor retries/bisects shards lost to worker
         crashes, *breaker* (``True`` or a
-        :class:`repro.serving.CircuitBreaker`) trips to a degraded
-        in-parent path under crash storms, and *admission* bounds the
-        intake — over budget, it either raises
+        :class:`repro.serving.CircuitBreaker`) trips process shards to a
+        degraded in-parent path under crash storms, and *admission* bounds
+        the intake — over budget, it either raises
         :class:`~repro.exceptions.OverloadError` (``shed="reject"``) or
         serves the batch at a cheaper ``k`` (``shed="degrade"``), with
         *tenant*/*priority* consulted by per-tenant budgets and bypass.
@@ -360,7 +357,7 @@ class STMaker:
             sanitize=sanitize, sanitizer_config=sanitizer_config,
             strict=strict, retry=retry, deadline_s=deadline_s,
             sleeper=sleeper, progress=progress,
-            workers=workers, shard_size=shard_size, shard_mode=shard_mode,
+            workers=workers, shard_size=shard_size,
             executor=executor, artifact=artifact,
             shard_retry=shard_retry, breaker=breaker,
             admission=admission, tenant=tenant, priority=priority,

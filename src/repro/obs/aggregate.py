@@ -21,7 +21,7 @@ telemetry.  The contract is one serializable bundle per worker:
 dicts (JSON- and pickle-safe); :func:`capture_telemetry` builds one on the
 worker side and :func:`apply_telemetry` folds it in on the parent side.
 The process executor (:mod:`repro.serving.executor`) is the one
-boundary that runs this contract; in-thread shards record straight into
+boundary that runs this contract; serial batches record straight into
 the live sinks.
 """
 

@@ -306,6 +306,12 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
 
+    def discard_prefix(self, prefix: str) -> None:
+        """Forget every series whose name starts with *prefix*."""
+        with self._lock:
+            for name in [n for n in self._metrics if n.startswith(prefix)]:
+                del self._metrics[name]
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)

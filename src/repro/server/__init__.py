@@ -12,8 +12,8 @@ long-lived process puts in front of it:
   :class:`~repro.server.frontend.RequestHandle` — submit batches from
   any thread, consumer threads serve admitted work through
   ``summarize_many``, which forwards every request to the one batch
-  runner, :func:`repro.serving.run_sharded` (serial at the default
-  ``workers=1``, in-thread shards or a process pool otherwise;
+  runner, :func:`repro.serving.run_sharded` (serial in the consumer
+  thread under ``executor="thread"``, a process pool otherwise;
   admission and circuit breaking consumed from :mod:`repro.serving`, not
   reinvented).
   The pool-shape fields of the config are checked by the runner's own

@@ -3,7 +3,7 @@
 One frozen dataclass carries everything the front-end needs: queue
 bounds and tenant weights, deadline defaults, the serving-path knobs it
 forwards to :meth:`~repro.core.STMaker.summarize_many` (workers, shard
-size/mode, executor), hot-cache capacities, and the admission budget it
+size, executor), hot-cache capacities, and the admission budget it
 builds its :class:`~repro.serving.AdmissionController` from.  Validation
 happens at construction, so a bad config fails at server build time, not
 on the first request.
@@ -45,10 +45,12 @@ class ServerConfig:
     tenant_deadline_s: Mapping[str, float] = field(default_factory=dict)
     #: Consumer threads draining the queue.
     consumers: int = 1
-    #: ``summarize_many`` pool shape used to serve each request.
+    #: ``summarize_many`` pool shape used to serve each request;
+    #: ``workers`` and ``shard_size`` only take effect with
+    #: ``executor="process"`` (a ``"thread"`` request runs serially in
+    #: its consumer thread).
     workers: int = 1
     shard_size: int | None = None
-    shard_mode: str = "balanced"
     executor: str = "thread"
     #: Hot-cache capacities (see :mod:`repro.server.cache`).
     route_cache_size: int = 256
@@ -63,8 +65,8 @@ class ServerConfig:
     degrade_k: int = 1
     #: Requests at or above this priority skip admission budgets.
     bypass_priority: int | None = None
-    #: Route each request through the ``serving.<executor>`` circuit
-    #: breaker (:func:`repro.serving.get_breaker`).
+    #: Route each sharded process request through the ``serving.process``
+    #: circuit breaker (:func:`repro.serving.get_breaker`).
     breaker: bool = False
 
     def __post_init__(self) -> None:
@@ -76,7 +78,7 @@ class ServerConfig:
             raise ConfigError(f"consumers must be >= 1, got {self.consumers}")
         validate_pool_shape(
             workers=self.workers, shard_size=self.shard_size,
-            shard_mode=self.shard_mode, executor=self.executor,
+            executor=self.executor,
         )
         if self.shed not in SHED_POLICIES:
             raise ConfigError(

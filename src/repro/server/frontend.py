@@ -16,9 +16,10 @@ Nothing is reinvented at the edges:
   :class:`~repro.serving.AdmissionController` (global + per-tenant item
   budgets, ``shed="reject"``/``"degrade"``, priority bypass); the ticket
   is held until the request settles;
-* **breaker** — ``ServerConfig(breaker=True)`` routes each request with
-  the process-wide ``serving.<executor>`` circuit breaker, exactly as a
-  direct ``summarize_many(breaker=True)`` caller would;
+* **breaker** — ``ServerConfig(breaker=True)`` routes each sharded
+  process request through the process-wide ``serving.process`` circuit
+  breaker, exactly as a direct ``summarize_many(breaker=True)`` caller
+  would;
 * **deadlines** — a request's budget counts from enqueue; whatever is
   left when a consumer picks it up becomes ``summarize_many``'s
   ``deadline_s``, so an expired request resolves as typed
@@ -392,7 +393,6 @@ class SummarizationServer:
                 deadline_s=remaining, sleeper=entry.sleeper,
                 workers=self.config.workers,
                 shard_size=self.config.shard_size,
-                shard_mode=self.config.shard_mode,
                 executor=self.config.executor,
                 breaker=self.config.breaker or None,
             )

@@ -5,13 +5,13 @@ the landmark store and historical feature map are trained, every summary
 is an independent pure function of its input.  This package exploits that
 without changing semantics:
 
-* :mod:`~repro.serving.sharder` — partition a batch into shards
-  (balanced / round-robin / stable key-hashed);
-* :mod:`~repro.serving.pool` — the one batch runner, :func:`run_sharded`
-  (serial is its ``workers=1`` case): validation, admission, per-item
-  traces, live progress, and reassembly; thread shards run one after
-  another in the calling thread on the batch's one deadline, process
-  shards on a supervised pool under per-shard deadline budgets;
+* :mod:`~repro.serving.sharder` — partition a batch into contiguous
+  balanced shards;
+* :mod:`~repro.serving.pool` — the one batch runner, :func:`run_sharded`:
+  validation, admission, per-item traces, live progress, and
+  reassembly; a batch runs serially in the calling thread on one
+  deadline (every ``executor="thread"`` batch), or as shards on a
+  supervised process pool under per-shard deadline budgets;
 * :mod:`~repro.serving.executor` — the one shard loop,
   :func:`run_shard`, over a :class:`ShardTask`, and the
   ``executor="process"`` backend: tasks ship to
@@ -35,13 +35,13 @@ without changing semantics:
   input order regardless of completion order (:func:`reassemble`).
 
 The contract — **parallel ≡ serial** — is pinned by the differential and
-property suites (``tests/test_serving_*.py``): ``summarize_many(workers=4)``
-returns element-wise identical summaries, degradation reports, quarantine
-entries and sanitization reports to ``workers=1``, including under
-deterministic fault injection — for the thread executor *and* the process
-executor.  The chaos suite (``tests/test_serving_chaos.py``) extends the
-contract to crash-grade faults: the same items end up quarantined, for
-the same typed reason.  See ``docs/SERVING.md`` and ``docs/ROBUSTNESS.md``.
+property suites (``tests/test_serving_*.py``):
+``summarize_many(workers=4, executor="process")`` returns element-wise
+identical summaries, degradation reports, quarantine entries and
+sanitization reports to ``workers=1``, including under deterministic
+fault injection.  The chaos suite (``tests/test_serving_chaos.py``)
+extends the contract to crash-grade faults: the same items end up
+quarantined, for the same typed reason.  See ``docs/SERVING.md`` and ``docs/ROBUSTNESS.md``.
 """
 
 from repro.serving.admission import (
@@ -67,7 +67,7 @@ from repro.serving.executor import (
 )
 from repro.serving.ordering import reassemble
 from repro.serving.pool import run_sharded, validate_pool_shape
-from repro.serving.sharder import SHARD_MODES, Shard, plan_shards, stable_key_hash
+from repro.serving.sharder import Shard, plan_shards
 from repro.serving.supervisor import ShardRetryPolicy, supervise_process_shards
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "BREAKER_STATES",
     "CircuitBreaker",
     "EXECUTORS",
-    "SHARD_MODES",
     "SHED_POLICIES",
     "Shard",
     "ShardResult",
@@ -92,7 +91,6 @@ __all__ = [
     "run_shard_in_process",
     "run_sharded",
     "reassemble",
-    "stable_key_hash",
     "supervise_process_shards",
     "validate_pool_shape",
 ]

@@ -2,13 +2,13 @@
 
 :func:`run_shard` serves one :class:`ShardTask` item by item through
 ``STMaker._summarize_item``; it is the only batch item loop.  The runner
-in :mod:`repro.serving.pool` builds one task per shard for every
-executor, and each executor calls :func:`run_shard` with only what is
-specific to it around the call: serial and thread runs call it in the
-calling thread, shard after shard, on the batch's one deadline; the
-breaker's degraded path calls it in the parent with ``degraded=True``;
-and a process worker (:func:`run_shard_in_process`) calls it against a
-model rebuilt from the city-model artifact.
+in :mod:`repro.serving.pool` builds one task per shard, and each path
+calls :func:`run_shard` with only what is specific to it around the
+call: a serial batch (every ``executor="thread"`` batch) calls it once,
+in the calling thread; the breaker's degraded path calls it in the
+parent with ``degraded=True``; and a process worker
+(:func:`run_shard_in_process`) calls it against a model rebuilt from the
+city-model artifact.
 
 For the process executor the division of labour is:
 
@@ -170,23 +170,20 @@ def run_shard(
     task: ShardTask,
     *,
     degraded: bool = False,
-    deadline: Deadline | None = None,
     on_item: Callable[[ItemOutcome], None] | None = None,
 ) -> ShardResult:
     """Serve *task* item by item: the one batch item loop.
 
-    Every item goes through ``STMaker._summarize_item`` under *deadline*
-    — the batch's shared clock for in-thread runs — or, when ``None``,
-    under a fresh :class:`~repro.resilience.Deadline` of the task's full
-    budget (one per process shard).  A sharded task (``shard_id`` set)
-    runs under a ``"shard"`` span and is bracketed by
-    ``shard_start``/``shard_end`` events, tagged ``degraded=True`` on the
-    breaker's in-parent path.  *on_item* sees each outcome as it settles
+    Every item goes through ``STMaker._summarize_item`` under one
+    :class:`~repro.resilience.Deadline` of the task's full budget: the
+    whole batch's clock for a serial task, one per process shard.  A
+    sharded task (``shard_id`` set) runs under a ``"shard"`` span and is
+    bracketed by ``shard_start``/``shard_end`` events, tagged
+    ``degraded=True`` on the breaker's in-parent path.  *on_item* sees each outcome as it settles
     (the live progress tally).  In ``strict`` mode the first item error
     propagates.
     """
-    if deadline is None:
-        deadline = Deadline(task.deadline_s)
+    deadline = Deadline(task.deadline_s)
     sharded = task.shard_id is not None
     tags = {"degraded": True} if degraded else {}
     if sharded:
@@ -248,7 +245,7 @@ def run_shard_in_process(task: ShardTask) -> ShardResult:
 
     Wraps :func:`run_shard` in fresh obs sinks whose contents ship home
     as the result's telemetry snapshot, so the parent's merged totals
-    match an in-thread run.  The worker's ``"shard"`` span deliberately
+    match a serial run.  The worker's ``"shard"`` span deliberately
     has no parent and no trace id: it is process-local infrastructure
     that the parent grafts under the live batch span, while per-item
     spans carry their item's :class:`~repro.obs.TraceContext`.

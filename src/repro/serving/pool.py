@@ -1,8 +1,7 @@
 """The batch runner behind ``STMaker.summarize_many``.
 
 :func:`run_sharded` is the only batch runner: ``summarize_many`` forwards
-every call here, and serial execution is simply its ``workers=1`` case
-(with no ``shard_size``).  The runner validates the options once, before
+every call here.  The runner validates the options once, before
 admission (:func:`validate_pool_shape`, shared with
 :class:`~repro.server.ServerConfig`), then owns the batch in one place:
 the admission ticket, one :class:`~repro.obs.TraceContext` per item, the
@@ -12,31 +11,32 @@ live progress tally, the ``summarize_many`` span, the
 
 Items run through the one shard loop,
 :func:`repro.serving.executor.run_shard`, one
-:class:`~repro.serving.ShardTask` per shard:
+:class:`~repro.serving.ShardTask` per shard.  Shards exist only where a
+process boundary does:
 
-* **serial** (``workers=1``, no ``shard_size``) — one task covering the
-  whole batch with no shard id, so it emits no shard events, no
-  ``"shard"`` span and no ``serving.*`` metrics;
-* ``executor="thread"`` (default) — the planned shards, run one after
-  another in the calling thread.  The pipeline is pure-Python CPU work
-  that would serialize on the GIL anyway, so a thread pool bought
-  nothing; shards stay a unit of telemetry and of the breaker's
-  accounting.  This is also the executor for unpicklable sleepers and
-  custom feature registries;
-* ``executor="process"`` — true multi-core for the CPU-bound
-  pure-Python pipeline, supervised by :mod:`repro.serving.supervisor`.
-  Workers rebuild the model from a versioned **city-model artifact**
-  (:mod:`repro.artifact`; auto-published to a temp file when no
-  ``artifact=`` path is given) and ship their telemetry home as a
-  :class:`~repro.obs.TelemetrySnapshot` that the parent merges.
+* **serial** — every ``executor="thread"`` (default) batch, and a
+  ``"process"`` batch with ``workers=1`` and no ``shard_size``: one task
+  with no shard id covering the whole batch, run in the calling thread
+  on one :class:`~repro.resilience.Deadline`.  It emits no shard events,
+  no ``"shard"`` span and no ``serving.*`` metrics.  The pipeline is
+  pure-Python CPU work that serializes on the GIL, so ``workers`` and
+  ``shard_size`` are accepted under ``"thread"`` and have no effect.
+  ``"thread"`` is also the executor for unpicklable sleepers and custom
+  feature registries;
+* **sharded** — ``executor="process"`` with ``workers > 1`` or a
+  ``shard_size``: contiguous balanced shards
+  (:func:`repro.serving.sharder.plan_shards`) on a process pool
+  supervised by :mod:`repro.serving.supervisor`, each under its own
+  deadline of the full budget (a slow shard cannot starve its
+  siblings).  Workers rebuild the model from a versioned **city-model
+  artifact** (:mod:`repro.artifact`; auto-published to a temp file when
+  no ``artifact=`` path is given) and ship their telemetry home as a
+  :class:`~repro.obs.TelemetrySnapshot` that the parent merges.  Each
+  shard is bracketed by ``shard_start``/``shard_end`` events and
+  mirrored into ``serving.shard.<id>.*`` gauges (the run report's
+  per-shard breakdown), which a sharded batch clears when it starts.
 
-Serial and thread runs share **one** :class:`~repro.resilience.Deadline`
-for the whole batch; each process shard gets its own of the full budget
-(a slow shard cannot starve its siblings).  Sharded runs emit
-``shard_start``/``shard_end`` events around every shard and mirror
-per-shard throughput into ``serving.shard.<id>.*`` gauges (the run
-report's per-shard breakdown).  See ``docs/SERVING.md`` for the measured
-scaling profile of both executors.
+See ``docs/SERVING.md`` for the measured scaling profile.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from repro.obs import (
 from repro.resilience import (
     BatchProgress,
     BatchResult,
-    Deadline,
     ItemOutcome,
     RetryPolicy,
 )
@@ -76,7 +75,7 @@ from repro.serving.executor import (
     run_shard,
 )
 from repro.serving.ordering import reassemble
-from repro.serving.sharder import SHARD_MODES, plan_shards
+from repro.serving.sharder import plan_shards
 from repro.serving.supervisor import ShardRetryPolicy, supervise_process_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,7 +88,6 @@ def validate_pool_shape(
     *,
     workers: int,
     shard_size: int | None,
-    shard_mode: str,
     executor: str,
     artifact: str | None = None,
 ) -> None:
@@ -98,10 +96,6 @@ def validate_pool_shape(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if shard_size is not None and shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
-    if shard_mode not in SHARD_MODES:
-        raise ConfigError(
-            f"unknown shard mode {shard_mode!r}; expected one of {SHARD_MODES}"
-        )
     if executor not in EXECUTORS:
         raise ConfigError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}"
@@ -167,8 +161,6 @@ def run_sharded(
     progress: Callable[[BatchProgress], None] | None = None,
     workers: int = 2,
     shard_size: int | None = None,
-    shard_mode: str = "balanced",
-    shard_key: Callable[["RawTrajectory"], str] | None = None,
     executor: str = "thread",
     artifact: str | None = None,
     shard_retry: ShardRetryPolicy | None = None,
@@ -177,15 +169,16 @@ def run_sharded(
     tenant: str | None = None,
     priority: int = 0,
 ) -> BatchResult:
-    """Summarize *items*, serially or on a pool of *workers*, shard by shard.
+    """Summarize *items* in the calling thread, or sharded across processes.
 
-    ``workers=1`` with no ``shard_size`` is the serial case: one task run
-    inline.  Otherwise the results match it element-wise — same
-    summaries, same degradation reports, same quarantine entries, in the
-    same input order (the differential suite pins this, for both
-    executors).  Serial and thread runs share one ``deadline_s`` clock
-    for the whole batch; the only intentional divergence is under the
-    process executor, where each shard gets the full budget.
+    A batch is the serial case — one task with no shard id, run inline on
+    one ``deadline_s`` clock — unless ``executor="process"`` and
+    ``workers > 1`` or ``shard_size`` is set.  Under ``"thread"``,
+    ``workers`` and ``shard_size`` are accepted and have no effect.  A
+    sharded batch matches serial element-wise — same summaries, same
+    degradation reports, same quarantine entries, in the same input order
+    (the differential suite pins this) — except that each process shard
+    gets the full ``deadline_s`` budget.
 
     With ``executor="process"``, workers rebuild the model from the
     city-model artifact at *artifact* (which must hold the same trained
@@ -196,37 +189,31 @@ def run_sharded(
     surface when each shard completes rather than live, and relayed
     events carry ``relay_*`` provenance keys.
 
-    Failure containment (``docs/ROBUSTNESS.md``): the process executor
-    always runs supervised — worker death is retried, bisected, and at
-    worst quarantined under *shard_retry* (default
+    Failure containment (``docs/ROBUSTNESS.md``): process shards always
+    run supervised — worker death is retried, bisected, and at worst
+    quarantined under *shard_retry* (default
     :class:`~repro.serving.ShardRetryPolicy`), never propagated as
     ``BrokenProcessPool``.  *breaker* (``True`` for the registry breaker
-    named ``serving.<executor>``, or an explicit
-    :class:`~repro.serving.CircuitBreaker`) routes shards to an
-    in-parent degraded path while open.  *admission* bounds the intake
-    (may raise :class:`~repro.exceptions.OverloadError`, or override
-    ``k`` under ``shed="degrade"``) and caps the supervisor's in-flight
-    window via its ``max_in_flight_shards``; *tenant*/*priority* feed
-    its budget and bypass hooks.  Options are validated before
-    admission, so a :class:`~repro.exceptions.ConfigError` never holds
-    budget.
+    named ``serving.process``, or an explicit
+    :class:`~repro.serving.CircuitBreaker`) routes process shards to an
+    in-parent degraded path while open; serial batches never consult it.
+    *admission* bounds the intake (may raise
+    :class:`~repro.exceptions.OverloadError`, or override ``k`` under
+    ``shed="degrade"``) and caps the supervisor's in-flight window via
+    its ``max_in_flight_shards``; *tenant*/*priority* feed its budget and
+    bypass hooks.  Options are validated before admission, so a
+    :class:`~repro.exceptions.ConfigError` never holds budget.
     """
     validate_pool_shape(
-        workers=workers, shard_size=shard_size, shard_mode=shard_mode,
+        workers=workers, shard_size=shard_size,
         executor=executor, artifact=artifact,
     )
     items = list(items)
-    serial = workers == 1 and shard_size is None
-    keys = None
-    if shard_mode == "hashed":
-        key_of = shard_key or (lambda raw: raw.trajectory_id)
-        keys = [key_of(raw) for raw in items]
+    sharded = executor == "process" and (workers > 1 or shard_size is not None)
     shards = plan_shards(
         len(items),
-        mode=shard_mode,
-        num_shards=None if shard_size is not None else workers,
-        shard_size=shard_size,
-        keys=keys,
+        num_shards=workers if sharded else 1,
+        shard_size=shard_size if sharded else None,
     )
     ticket = None
     admission_wait_s = 0.0
@@ -245,7 +232,7 @@ def run_sharded(
     traces = [start_trace(anchor_unix_s=batch_anchor_unix) for _ in items]
     tasks = [
         ShardTask(
-            shard_id=None if serial else shard.shard_id,
+            shard_id=shard.shard_id if sharded else None,
             indices=shard.indices,
             items=tuple(items[index] for index in shard.indices),
             traces=tuple(traces[index] for index in shard.indices),
@@ -260,25 +247,27 @@ def run_sharded(
     m.counter("resilience.batch.calls").inc()
     # A serial run reports no pool shape: its telemetry reads as a batch
     # that was never sharded.
-    start_tags: dict[str, object] = {}
+    shape: dict[str, object] = {}
     span_tags: dict[str, object] = {}
     end_tags: dict[str, object] = {}
-    if not serial:
+    if sharded:
+        if metrics_enabled():
+            # Per-shard rows describe the latest sharded batch only.
+            m.discard_prefix("serving.shard.")
         m.counter("serving.batch.calls").inc()
         m.gauge("serving.workers").set(workers)
         m.gauge("serving.shards").set(len(shards))
         shape = {"workers": workers, "shards": len(shards)}
-        start_tags = {**shape, "shard_mode": shard_mode}
         span_tags = {**shape, "executor": executor}
         end_tags = {"shards": len(shards)}
-    emit_event("batch_start", items=len(items), k=k, **start_tags)
+    emit_event("batch_start", items=len(items), k=k, **shape)
     started = time.perf_counter()
     board = _ProgressBoard(len(items), progress)
     try:
         with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
-            if breaker is True and not serial:
-                breaker = get_breaker(f"serving.{executor}")
-            if executor == "process" and not serial:
+            if sharded:
+                if breaker is True:
+                    breaker = get_breaker("serving.process")
                 results = _run_in_processes(
                     stmaker, tasks, workers=workers, board=board,
                     breaker=breaker or None, batch_span=sp,
@@ -289,23 +278,10 @@ def run_sharded(
                     ),
                 )
             else:
-                # Serial and thread shards run here, one after another,
-                # on one deadline clock; strict mode's first item error
-                # propagates straight out of the loop.
-                deadline = Deadline(deadline_s)
-                results = []
-                for task in tasks:
-                    sr = run_shard(
-                        stmaker, task, deadline=deadline, on_item=board.note
-                    )
-                    if not serial:
-                        _publish_shard(sr, m)
-                        if breaker:
-                            # In-thread shards cannot crash a pool; the
-                            # record keeps a shared breaker's volume honest
-                            # when the two executors alternate on one name.
-                            breaker.record_success()
-                    results.append(sr)
+                # Strict mode's first item error propagates straight out.
+                results = [
+                    run_shard(stmaker, task, on_item=board.note) for task in tasks
+                ]
             reassembly_started = time.perf_counter()
             result = reassemble(
                 [outcome for sr in results for outcome in sr.outcomes], len(items)
@@ -327,16 +303,14 @@ def run_sharded(
     return result
 
 
-def _publish_shard(
-    sr: ShardResult, m, graft_parent_id: int | None = None
-) -> None:
-    """Fold one finished shard into the parent-side sinks.
+def _publish_shard(sr: ShardResult, m, graft_parent_id: int | None) -> None:
+    """Fold one finished process shard into the parent-side sinks.
 
     A process worker's telemetry snapshot merges into the live registry,
     its spans graft under *graft_parent_id* (the live batch span, so they
     join the parent's tree instead of floating), and its events relay onto
-    the live bus.  The ``serving.shard.<id>.*`` gauges are set here for
-    every sharded run: gauges are last-write-wins state, so they must be
+    the live bus.  The ``serving.shard.<id>.*`` gauges are set here:
+    gauges are last-write-wins state, so they must be
     *set* parent-side, not merged as offsets.
     """
     if sr.telemetry is not None:

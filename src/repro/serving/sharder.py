@@ -1,33 +1,21 @@
-"""Batch partitioning: split N items into shards of index assignments.
+"""Batch partitioning: split N items into contiguous shards of indices.
 
 A :class:`Shard` is pure bookkeeping — a shard id plus the *input indices*
 it owns.  Keeping shards index-based (instead of copying items) makes the
 invariants trivial to state and test: across every shard of a plan, each
-index in ``range(n)`` appears exactly once.
+index in ``range(n)`` appears exactly once, and shard order is input
+order.
 
-Three assignment modes (:data:`SHARD_MODES`):
-
-* ``"balanced"`` — contiguous slices whose sizes differ by at most one;
-  the default, and the best cache/order locality;
-* ``"round_robin"`` — index ``i`` goes to shard ``i % num_shards``;
-  spreads a front-loaded batch (e.g. sorted by size) evenly;
-* ``"hashed"`` — shard is a stable hash of the item's key (CRC-32, never
-  Python's seeded ``hash``), so the same trajectory id always lands on
-  the same shard across runs and processes — the mode to use when shards
-  map to sticky downstream state (caches, per-key rate limits).
+There is one plan: contiguous slices whose sizes differ by at most one,
+sized by a shard count or by a per-shard item count.
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.exceptions import ConfigError
-
-#: The supported shard assignment modes.
-SHARD_MODES: tuple[str, ...] = ("balanced", "round_robin", "hashed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,34 +30,21 @@ class Shard:
         return len(self.indices)
 
 
-def stable_key_hash(key: str) -> int:
-    """A process- and run-stable non-negative hash of *key*.
-
-    Built on CRC-32 rather than ``hash()``: Python seeds string hashing
-    per process (PYTHONHASHSEED), which would silently re-shard every key
-    on restart.
-    """
-    return zlib.crc32(str(key).encode("utf-8"))
-
-
 def plan_shards(
     n: int,
     *,
-    mode: str = "balanced",
     num_shards: int | None = None,
     shard_size: int | None = None,
-    keys: Sequence[str] | None = None,
 ) -> list[Shard]:
-    """Assign indices ``0..n-1`` to shards; empty shards are dropped.
+    """Split indices ``0..n-1`` into contiguous balanced shards.
 
     Exactly one sizing knob applies: ``shard_size`` (number of shards is
     ``ceil(n / shard_size)``) wins over ``num_shards`` when both are
-    given.  ``keys`` (one per index) is required for ``"hashed"`` mode and
-    ignored otherwise.  The returned shards partition ``range(n)``: every
-    index appears in exactly one shard.
+    given.  Shard sizes differ by at most one, the first ``n % count``
+    shards taking the extra item, and no shard is empty.  The returned
+    shards partition ``range(n)`` in order: every index appears in
+    exactly one shard.
     """
-    if mode not in SHARD_MODES:
-        raise ConfigError(f"unknown shard mode {mode!r}; expected one of {SHARD_MODES}")
     if n < 0:
         raise ConfigError(f"cannot shard a negative batch size: {n}")
     if shard_size is not None:
@@ -85,29 +60,11 @@ def plan_shards(
     if n == 0:
         return []
     count = min(count, n)
-
-    if mode == "balanced":
-        # Contiguous slices; the first n % count shards take one extra item.
-        base, extra = divmod(n, count)
-        assignments: list[list[int]] = []
-        start = 0
-        for shard_id in range(count):
-            size = base + (1 if shard_id < extra else 0)
-            assignments.append(list(range(start, start + size)))
-            start += size
-    elif mode == "round_robin":
-        assignments = [list(range(shard_id, n, count)) for shard_id in range(count)]
-    else:  # hashed
-        if keys is None:
-            raise ConfigError("hashed shard mode requires per-item keys")
-        if len(keys) != n:
-            raise ConfigError(f"{len(keys)} keys for {n} items")
-        assignments = [[] for _ in range(count)]
-        for index, key in enumerate(keys):
-            assignments[stable_key_hash(key) % count].append(index)
-
-    return [
-        Shard(shard_id, tuple(indices))
-        for shard_id, indices in enumerate(assignments)
-        if indices
-    ]
+    base, extra = divmod(n, count)
+    shards: list[Shard] = []
+    start = 0
+    for shard_id in range(count):
+        size = base + (1 if shard_id < extra else 0)
+        shards.append(Shard(shard_id, tuple(range(start, start + size))))
+        start += size
+    return shards

@@ -338,8 +338,8 @@ def _raise_first_by_shard_order(
     Strict mode promises the *first* failure in input order.  Shards
     complete in any order under the supervisor, so when one raises we
     briefly let the other in-flight shards settle and pick the failure
-    with the smallest shard id (input order and shard order coincide for
-    the contiguous shard modes).  ``BrokenExecutor`` losses during the
+    with the smallest shard id (shards are contiguous, so input order and
+    shard order coincide).  ``BrokenExecutor`` losses during the
     drain are ignored — we are aborting anyway.
     """
     failures: list[tuple[int, Exception]] = [(unit.task.shard_id, exc)]

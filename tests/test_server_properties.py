@@ -544,8 +544,6 @@ def test_server_config_validation():
     with pytest.raises(ConfigError):
         ServerConfig(executor="fiber")
     with pytest.raises(ConfigError):
-        ServerConfig(shard_mode="bogus")
-    with pytest.raises(ConfigError):
         ServerConfig(shard_size=0)
     with pytest.raises(ConfigError):
         ServerConfig(consumers=0)

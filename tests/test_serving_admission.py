@@ -220,7 +220,7 @@ class TestAdmissionIntegration:
         ctrl = AdmissionController(AdmissionPolicy(max_queued_items=4))
         batch = trips[:2]
         bad_options = (
-            {"shard_mode": "bogus", "workers": 2},
+            {"workers": 0},
             {"shard_size": 0},
             {"executor": "ray"},
             {"artifact": "model.bin"},

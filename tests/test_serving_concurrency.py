@@ -1,9 +1,9 @@
 """Concurrency stress tests: a shared STMaker hammered from many threads.
 
-The serving pool runs :meth:`STMaker._summarize_item` on pool workers that
-share the summarizer, the metrics registry, the event bus, the fault
-injector, and the quarantine bookkeeping.  These tests drive that sharing
-far harder than the pool itself does — eight threads issuing overlapping
+Concurrent batch calls — as the server's consumer threads issue them —
+run :meth:`STMaker._summarize_item` against one shared summarizer,
+metrics registry, event bus, fault injector, and quarantine bookkeeping.
+These tests drive that sharing hard — eight threads issuing overlapping
 batch calls — and assert that nothing tears: counters add up exactly,
 histogram snapshots stay internally consistent, fault-fire counts are
 lossless, and every batch still honours the input-order contract.
@@ -61,14 +61,13 @@ def hammer(fn, n_threads: int = THREADS):
 
 
 def test_concurrent_batches_on_shared_stmaker(scenario, corpus):
-    """Eight threads × parallel pools on ONE STMaker: all results correct."""
+    """Eight threads × batches on ONE STMaker: all results correct."""
     expected = scenario.stmaker.summarize_many(corpus, k=2)
     assert expected.ok_count == len(corpus)
 
     results = hammer(
         lambda i: scenario.stmaker.summarize_many(
-            corpus, k=2, workers=2, shard_size=2,
-            shard_mode=("balanced", "round_robin", "hashed")[i % 3],
+            corpus, k=2, workers=2, shard_size=2
         )
     )
     for result in results:
@@ -89,7 +88,9 @@ def test_metrics_counters_are_lossless_under_contention(scenario, corpus):
     assert items is not None and items.value == THREADS * len(corpus)
     ok = registry.get("resilience.batch.ok")
     assert ok is not None and ok.value == THREADS * len(corpus)
-    assert registry.get("serving.batch.calls").value == THREADS
+    assert registry.get("resilience.batch.calls").value == THREADS
+    # Thread batches are serial: no pool-shape or per-shard series.
+    assert not [n for n in registry.names() if n.startswith("serving.")]
 
 
 def test_histogram_snapshot_never_tears():
@@ -175,10 +176,11 @@ def test_event_bus_collects_every_event_under_contention(scenario, corpus):
     recorded = log.events()
     batch_starts = [e for e in recorded if e.kind == "batch_start"]
     batch_ends = [e for e in recorded if e.kind == "batch_end"]
-    shard_starts = [e for e in recorded if e.kind == "shard_start"]
-    shard_ends = [e for e in recorded if e.kind == "shard_end"]
+    item_ends = [e for e in recorded if e.kind == "item_end"]
     assert len(batch_starts) == len(batch_ends) == THREADS
-    assert len(shard_starts) == len(shard_ends) > 0
+    assert len(item_ends) == THREADS * len(corpus)
+    # Thread batches are serial: no shard events.
+    assert not [e for e in recorded if e.kind in ("shard_start", "shard_end")]
 
 
 def test_quarantine_is_isolated_per_batch_under_contention(scenario, corpus):

@@ -3,8 +3,8 @@
 The contract of ``repro.serving`` is that ``summarize_many(workers=N)``
 changes *nothing* semantically: summaries (text, partitions, Γ values),
 degradation reports, quarantine entries and sanitization reports must be
-element-wise identical to ``workers=1``, in input order, for any shard
-mode — including under deterministic fault injection.
+element-wise identical to ``workers=1``, in input order — including
+under deterministic fault injection.
 
 The corpus is ≥20 generated scenarios: healthy simulated trips across the
 day plus corrupted mutants (duplicate timestamps, teleports, dead zones,
@@ -15,9 +15,11 @@ quarantine.
 count; every comparison forces the pool with an explicit ``shard_size``,
 so even the 1-worker leg runs the shard/reassembly machinery.
 ``SERVING_TEST_EXECUTOR`` (CI matrix: thread and process) selects the
-pool backend, so the whole suite also proves the process executor —
-artifact shipping, worker rebuild, telemetry relay — element-wise
-identical to serial.
+backend.  Under ``"process"`` the whole suite proves the process
+executor — artifact shipping, worker rebuild, telemetry relay —
+element-wise identical to serial; under ``"thread"`` the parallel side
+runs the serial loop, which pins that ``workers``/``shard_size`` have no
+effect there.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import pytest
 from repro.exceptions import TransientError
 from repro.geo import GeoPoint
 from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
-from repro.serving import SHARD_MODES
 from repro.trajectory import RawTrajectory, TrajectoryPoint
 
 #: Worker count of the parallel side of every comparison (CI matrix 1/4).
@@ -150,11 +151,10 @@ def assert_batches_identical(serial, parallel) -> None:
     assert parallel.sanitization == serial.sanitization
 
 
-def run_pair(stmaker, corpus, *, shard_mode="balanced", **kwargs):
+def run_pair(stmaker, corpus, **kwargs):
     serial = stmaker.summarize_many(corpus, workers=1, **kwargs)
     parallel = stmaker.summarize_many(
-        corpus, workers=WORKERS, shard_size=3, shard_mode=shard_mode,
-        executor=EXECUTOR, **kwargs
+        corpus, workers=WORKERS, shard_size=3, executor=EXECUTOR, **kwargs
     )
     return serial, parallel
 
@@ -167,9 +167,8 @@ def test_corpus_is_large_and_diverse(corpus):
     assert len({raw.trajectory_id for raw in corpus}) == len(corpus)
 
 
-@pytest.mark.parametrize("shard_mode", SHARD_MODES)
-def test_parallel_equals_serial(stmaker, corpus, shard_mode):
-    serial, parallel = run_pair(stmaker, corpus, shard_mode=shard_mode, k=2)
+def test_parallel_equals_serial(stmaker, corpus):
+    serial, parallel = run_pair(stmaker, corpus, k=2)
     assert_batches_identical(serial, parallel)
     # The corpus genuinely exercises every outcome class.
     assert serial.ok_count > 0
@@ -296,18 +295,6 @@ def test_serial_run_reports_no_pool_shape(stmaker, corpus):
     assert not [n for n in registry.names() if n.startswith("serving.")]
 
 
-def test_hashed_mode_accepts_custom_shard_key(stmaker, corpus):
-    from repro.serving import run_sharded
-
-    serial = stmaker.summarize_many(corpus, k=2)
-    parallel = run_sharded(
-        stmaker, corpus, 2, workers=WORKERS, shard_size=3,
-        shard_mode="hashed", shard_key=lambda raw: raw.trajectory_id[::-1],
-        executor=EXECUTOR,
-    )
-    assert_batches_identical(serial, parallel)
-
-
 def test_pool_rejects_zero_workers(stmaker, corpus):
     """Pool-shape options are validated the same for serial and pool."""
     from repro.exceptions import ConfigError
@@ -319,7 +306,6 @@ def test_pool_rejects_zero_workers(stmaker, corpus):
         stmaker.summarize_many(corpus, k=2, workers=0)
     bad_options = (
         {"executor": "ray"},
-        {"shard_mode": "bogus"},
         {"shard_size": 0},
         {"artifact": "model.bin"},  # requires executor="process"
     )

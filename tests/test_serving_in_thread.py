@@ -1,24 +1,27 @@
-"""``executor="thread"`` runs its shards in the calling thread.
+"""``executor="thread"`` runs every batch through the serial loop.
 
-The thread executor plans shards exactly like the process executor, but
-serves them one after another through the serial item loop: every span
-is recorded on the calling thread, shard spans nest under the batch span
-on the ordinary span stack, and a ``deadline_s`` budget is one clock for
-the whole batch, so it quarantines exactly the items a serial run does.
+Shards exist only where a process boundary does.  Under the thread
+executor, ``workers`` and ``shard_size`` are accepted and have no effect:
+the batch runs as one unsharded task in the calling thread, with serial's
+outcomes, serial's telemetry, and one ``deadline_s`` clock for the whole
+batch, so it quarantines exactly the items a serial run does.
 """
 
 from __future__ import annotations
-
-import re
-import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.exceptions import TransientError
 from repro.resilience import FaultInjector, FaultSpec
+from tests.test_serving_differential import assert_batches_identical
 
 WORKERS = 4
+
+
+def _no_sleep(seconds: float) -> None:
+    """Skip retry backoff."""
 
 
 @pytest.fixture(scope="module")
@@ -30,35 +33,46 @@ def trips(scenario):
     ]
 
 
-def test_shards_run_in_the_calling_thread_under_the_batch_span(scenario, trips):
-    collector = obs.enable_tracing()
-    registry = obs.enable_metrics()
-    log = obs.EventLog()
-    obs.enable_events().subscribe(log)
+def test_pool_shape_leaves_a_thread_batch_serial(scenario, trips):
+    """Same outcomes and the telemetry of a batch that was never sharded.
 
-    scenario.stmaker.summarize_many(trips, k=2, workers=WORKERS, executor="thread")
+    One item is poisoned with an unbounded transient fault so the batch
+    carries a quarantine verdict, whose shard id must stay ``None``.
+    """
+    stmaker = scenario.stmaker
+    injector = FaultInjector([
+        FaultSpec(
+            stage="extract", error=TransientError, times=None,
+            trajectory_id=trips[3].trajectory_id,
+        )
+    ])
 
-    spans = collector.spans()
-    (batch,) = collector.by_name("summarize_many")
-    shards = collector.by_name("shard")
-    items = collector.by_name("item")
-    assert len(shards) == WORKERS
-    assert len(items) == len(trips)
-    caller = threading.get_ident()
-    assert {record.thread_id for record in shards + items} == {caller}
-    assert {record.parent_id for record in shards} == {batch.span_id}
-    assert obs.trace_problems(spans) == []
+    def run(**options):
+        with injector.installed(stmaker):
+            return stmaker.summarize_many(
+                trips, k=2, sleeper=_no_sleep, **options
+            )
 
-    shard_ids = sorted(record.tags["shard_id"] for record in shards)
-    starts = sorted(e.payload["shard_id"] for e in log.events("shard_start"))
-    ends = sorted(e.payload["shard_id"] for e in log.events("shard_end"))
-    assert starts == ends == shard_ids
-    gauge_ids = sorted(
-        int(match.group(1))
-        for name in registry.snapshot()
-        if (match := re.fullmatch(r"serving\.shard\.(\d+)\.items", name))
-    )
-    assert gauge_ids == shard_ids
+    serial = run()
+    assert [entry.index for entry in serial.quarantined] == [3]
+    for options in ({}, {"shard_size": 2}):
+        collector = obs.enable_tracing()
+        registry = obs.enable_metrics(obs.MetricsRegistry())
+        log = obs.EventLog()
+        obs.enable_events(obs.EventBus()).subscribe(log)
+
+        result = run(workers=WORKERS, executor="thread", **options)
+
+        assert_batches_identical(serial, result)
+        assert {entry.shard_id for entry in result.quarantined} == {None}
+        kinds = {event.kind for event in log.events()}
+        assert not kinds & {"shard_start", "shard_end"}, options
+        (batch_start,) = log.events("batch_start")
+        assert set(batch_start.payload) == {"items", "k"}, options
+        assert not collector.by_name("shard"), options
+        (batch,) = collector.by_name("summarize_many")
+        assert {"workers", "shards", "executor"}.isdisjoint(batch.tags)
+        assert not [n for n in registry.names() if n.startswith("serving.")]
 
 
 def test_deadline_quarantines_what_serial_quarantines(scenario, trips):
@@ -68,7 +82,8 @@ def test_deadline_quarantines_what_serial_quarantines(scenario, trips):
     ``i * (0.2 s + its CPU time)``; under a 0.5 s budget the first three
     items start with 50 ms or more to spare and the rest start past it.
     Four shards each holding the full budget would start every item in
-    time; sharing the serial clock, they quarantine the same indices.
+    time; a thread batch runs on the serial clock and quarantines the
+    same indices.
     """
     stmaker = scenario.stmaker
 

@@ -44,7 +44,7 @@ def clean_obs():
 def _deterministic_view(snapshot: dict) -> dict:
     """Counters and non-timing histogram buckets — the series that must be
     bit-identical between serial and process-sharded runs (same filter as
-    the in-thread shard differential in ``test_obs_aggregate.py``)."""
+    the shard differential in ``test_obs_aggregate.py``)."""
     out = {}
     for name, data in snapshot.items():
         if name.startswith("serving.") or name.startswith("artifact."):
@@ -109,6 +109,24 @@ class TestMergedTelemetry:
         # and every shard span's children resolve within the batch.
         ids = [s["span_id"] for s in spans]
         assert len(ids) == len(set(ids))
+
+
+    def test_shard_rows_describe_the_latest_batch(self, stmaker, trips, clean_obs):
+        """A sharded batch drops the per-shard gauges of the one before.
+
+        Rows are not filtered by ``serving.shards``: supervisor bisection
+        gives halves ids past the planned count, and those rows belong to
+        the batch that bisected.
+        """
+        registry = obs.enable_metrics(MetricsRegistry())
+        stmaker.summarize_many(trips[:4], k=2, workers=4, executor="process")
+        second = stmaker.summarize_many(
+            trips[:2], k=2, workers=2, executor="process"
+        )
+        serving = obs.build_run_report(batches=[second], registry=registry).serving
+        assert serving["shard_count"] == 2
+        assert [row["shard_id"] for row in serving["shards"]] == [0, 1]
+        assert sum(row["items"] for row in serving["shards"]) == 2
 
 
 class TestExplicitArtifact:

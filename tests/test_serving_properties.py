@@ -4,9 +4,9 @@ Hand-rolled generators (seeded ``random.Random``, no hypothesis
 dependency) drive hundreds of randomized cases against the two invariants
 the serving layer is built on:
 
-* every plan produced by :func:`plan_shards` partitions ``range(n)`` —
-  each index appears in exactly one shard, balanced sizes differ by at
-  most one, and hashed assignment is stable across runs and key order;
+* every plan produced by :func:`plan_shards` partitions ``range(n)`` into
+  contiguous slices — each index appears in exactly one shard, in input
+  order, and shard sizes differ by at most one;
 * :func:`reassemble` is the permutation inverse of *any* completion
   order: shuffled outcomes rebuild exactly the input-ordered batch, and
   corrupted index bookkeeping (lost/duplicate/out-of-range) always raises
@@ -21,38 +21,36 @@ import pytest
 
 from repro.exceptions import ConfigError, ServingError
 from repro.resilience import ItemOutcome, QuarantineEntry
-from repro.serving import SHARD_MODES, Shard, plan_shards, reassemble, stable_key_hash
+from repro.serving import Shard, plan_shards, reassemble
 
 N_CASES = 150
 
 
 def random_cases(seed: int, n_cases: int = N_CASES):
-    """Seeded stream of (rng, n, mode, sizing-kwargs, keys) planner cases."""
+    """Seeded stream of (n, sizing-kwargs) planner cases."""
     rng = random.Random(seed)
     for _ in range(n_cases):
         n = rng.randint(0, 64)
-        mode = rng.choice(SHARD_MODES)
         if rng.random() < 0.5:
             kwargs = {"num_shards": rng.randint(1, 12)}
         else:
             kwargs = {"shard_size": rng.randint(1, 12)}
-        keys = [f"traj-{rng.randint(0, 20)}" for _ in range(n)]
-        yield rng, n, mode, kwargs, keys
+        yield n, kwargs
 
 
 # -- plan_shards invariants ---------------------------------------------------
 
 
 def test_every_index_appears_exactly_once():
-    for _, n, mode, kwargs, keys in random_cases(seed=1):
-        shards = plan_shards(n, mode=mode, keys=keys, **kwargs)
+    for n, kwargs in random_cases(seed=1):
+        shards = plan_shards(n, **kwargs)
         covered = [i for shard in shards for i in shard.indices]
-        assert sorted(covered) == list(range(n)), (n, mode, kwargs)
+        assert sorted(covered) == list(range(n)), (n, kwargs)
 
 
 def test_no_empty_shards_and_ids_are_ordered():
-    for _, n, mode, kwargs, keys in random_cases(seed=2):
-        shards = plan_shards(n, mode=mode, keys=keys, **kwargs)
+    for n, kwargs in random_cases(seed=2):
+        shards = plan_shards(n, **kwargs)
         assert all(len(shard) > 0 for shard in shards)
         assert [s.shard_id for s in shards] == sorted(s.shard_id for s in shards)
         for shard in shards:
@@ -60,10 +58,10 @@ def test_no_empty_shards_and_ids_are_ordered():
 
 
 def test_balanced_sizes_within_one():
-    for _, n, _, kwargs, _ in random_cases(seed=3):
+    for n, kwargs in random_cases(seed=3):
         if n == 0:
             continue
-        shards = plan_shards(n, mode="balanced", **kwargs)
+        shards = plan_shards(n, **kwargs)
         sizes = [len(s) for s in shards]
         assert max(sizes) - min(sizes) <= 1, (n, kwargs, sizes)
         # Contiguity: concatenating the shards yields 0..n-1 in order.
@@ -71,72 +69,28 @@ def test_balanced_sizes_within_one():
         assert flat == list(range(n))
 
 
-def test_round_robin_sizes_within_one():
-    for _, n, _, kwargs, _ in random_cases(seed=4):
-        if n == 0:
-            continue
-        shards = plan_shards(n, mode="round_robin", **kwargs)
-        sizes = [len(s) for s in shards]
-        assert max(sizes) - min(sizes) <= 1, (n, kwargs, sizes)
-
-
 def test_shard_size_bounds_every_shard():
     rng = random.Random(5)
     for _ in range(N_CASES):
         n = rng.randint(1, 64)
         shard_size = rng.randint(1, 12)
-        for mode in ("balanced", "round_robin"):
-            shards = plan_shards(n, mode=mode, shard_size=shard_size)
-            assert all(len(s) <= shard_size for s in shards), (n, shard_size, mode)
-
-
-def test_hashed_assignment_is_stable_and_key_order_independent():
-    for rng, n, _, kwargs, keys in random_cases(seed=6):
-        first = plan_shards(n, mode="hashed", keys=keys, **kwargs)
-        second = plan_shards(n, mode="hashed", keys=list(keys), **kwargs)
-        assert first == second
-        # The same key always lands on the same shard id, regardless of
-        # which other keys share the batch.
-        by_key: dict[str, int] = {}
-        for shard in first:
-            for index in shard.indices:
-                existing = by_key.setdefault(keys[index], shard.shard_id)
-                assert existing == shard.shard_id
-
-
-def test_stable_key_hash_is_deterministic_and_non_negative():
-    rng = random.Random(7)
-    for _ in range(N_CASES):
-        key = f"id-{rng.randint(0, 10_000)}-{rng.random():.6f}"
-        h = stable_key_hash(key)
-        assert h >= 0
-        assert h == stable_key_hash(key)
-    # Pinned values: must never drift across processes, runs, or versions
-    # (Python's seeded hash() would fail this exact test).
-    assert stable_key_hash("traj-0") == stable_key_hash("traj-0")
-    assert stable_key_hash("a") != stable_key_hash("b")
+        shards = plan_shards(n, shard_size=shard_size)
+        assert all(len(s) <= shard_size for s in shards), (n, shard_size)
 
 
 def test_planner_rejects_bad_configs():
     with pytest.raises(ConfigError):
-        plan_shards(4, mode="zigzag", num_shards=2)
+        plan_shards(4)
     with pytest.raises(ConfigError):
-        plan_shards(4, mode="balanced")
+        plan_shards(4, num_shards=0)
     with pytest.raises(ConfigError):
-        plan_shards(4, mode="balanced", num_shards=0)
+        plan_shards(4, shard_size=0)
     with pytest.raises(ConfigError):
-        plan_shards(4, mode="balanced", shard_size=0)
-    with pytest.raises(ConfigError):
-        plan_shards(-1, mode="balanced", num_shards=2)
-    with pytest.raises(ConfigError):
-        plan_shards(4, mode="hashed", num_shards=2)  # keys missing
-    with pytest.raises(ConfigError):
-        plan_shards(4, mode="hashed", num_shards=2, keys=["a", "b"])
+        plan_shards(-1, num_shards=2)
 
 
 def test_empty_batch_yields_empty_plan():
-    for mode in SHARD_MODES:
-        assert plan_shards(0, mode=mode, num_shards=3, keys=[]) == []
+    assert plan_shards(0, num_shards=3) == []
 
 
 def test_shard_is_sized_bookkeeping():

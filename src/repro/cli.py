@@ -129,6 +129,30 @@ def _containment_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
+def _add_pool_flags(
+    parser: argparse.ArgumentParser, *, shard_size: bool = False
+) -> None:
+    """The batch pool-shape flags (``docs/SERVING.md``)."""
+    group = parser.add_argument_group("serving")
+    group.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes under --executor process (default: 1, "
+        "serial; no effect under thread)",
+    )
+    if shard_size:
+        group.add_argument(
+            "--shard-size", type=int, default=None, metavar="N",
+            help="items per shard under --executor process (shards even "
+            "with --workers 1; no effect under thread)",
+        )
+    group.add_argument(
+        "--executor", choices=["thread", "process"], default="thread",
+        help="batch backend: 'thread' (default) runs the batch serially in "
+        "the calling thread, 'process' shards it across worker processes "
+        "serving from a city-model artifact",
+    )
+
+
 def _add_containment_flags(parser: argparse.ArgumentParser) -> None:
     """The failure-containment flag group (``docs/ROBUSTNESS.md``)."""
     group = parser.add_argument_group("failure containment")
@@ -559,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     summ.add_argument("-k", type=int, default=None, help="partition count")
     summ.add_argument(
         "--model", default=None,
-        help="trained model JSON (from 'stmaker train'); skips the rebuild",
+        help="trained model JSON (from 'stmaker train'); skips the rebuild, "
+        "and --executor process serves from it",
     )
     resilience = summ.add_argument_group("resilience")
     resilience.add_argument(
@@ -578,23 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget; the trajectory is quarantined when exceeded",
     )
-    serving = summ.add_argument_group("serving")
-    serving.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes under --executor process (default: 1, "
-        "serial; no effect under thread)",
-    )
-    serving.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard under --executor process (shards even with "
-        "--workers 1; no effect under thread)",
-    )
-    serving.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="batch backend: 'thread' runs the batch serially in this "
-        "thread, 'process' breaks the GIL by serving shards from a "
-        "city-model artifact (reuses --model when given; default: thread)",
-    )
+    _add_pool_flags(summ, shard_size=True)
     _add_containment_flags(summ)
     summ.add_argument(
         "--progress", action="store_true",
@@ -623,21 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--trips", type=int, default=20, help="batch size")
     rep.add_argument("-k", type=int, default=None, help="partition count")
-    rep.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes under --executor process (default: 1, "
-        "serial; no effect under thread)",
-    )
-    rep.add_argument(
-        "--shard-size", type=int, default=None, metavar="N",
-        help="items per shard under --executor process (shards even with "
-        "--workers 1; no effect under thread)",
-    )
-    rep.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="batch backend: 'thread' (default, serial in this thread) or "
-        "'process' (sharded across worker processes)",
-    )
+    _add_pool_flags(rep, shard_size=True)
     _add_containment_flags(rep)
     rep.add_argument(
         "--out", metavar="PREFIX", default="run-report",
@@ -662,16 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trips", type=int, default=5, help="simulated trips per batch"
     )
     ops.add_argument("-k", type=int, default=None, help="partition count")
-    ops.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes per batch under --executor process "
-        "(default: 1, serial; no effect under thread)",
-    )
-    ops.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="batch backend: 'thread' (default, serial in this thread) or "
-        "'process' (sharded across worker processes)",
-    )
+    _add_pool_flags(ops)
     ops.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
         help="pause between batches (default: 1.0)",
@@ -707,16 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--consumers", type=int, default=1, metavar="N",
         help="queue consumer threads (default: 1)",
     )
-    serve.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes per request under --executor process "
-        "(default: 1, serial; no effect under thread)",
-    )
-    serve.add_argument(
-        "--executor", choices=["thread", "process"], default="thread",
-        help="batch backend: 'thread' (default, serial in the consumer "
-        "thread) or 'process' (sharded across worker processes)",
-    )
+    _add_pool_flags(serve)
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="per-request deadline budget, counted from enqueue",

@@ -36,6 +36,7 @@ from repro.core.templates import partition_sentence, summary_text
 from repro.core.types import PartitionSpan, PartitionSummary, TrajectorySummary
 from repro.exceptions import (
     CalibrationError,
+    DeadlineExceeded,
     PartitionError,
     ReproError,
     TransientError,
@@ -55,7 +56,6 @@ from repro.features import (
 )
 from repro.landmarks import LandmarkIndex
 from repro.obs import (
-    Timer,
     TraceContext,
     emit_event,
     events_enabled,
@@ -247,9 +247,7 @@ class STMaker:
         and records a repaired input as the ``sanitize`` stage's
         ``cleaned_input`` event, strict or not.
         """
-        with span(
-            "summarize", trajectory_id=raw.trajectory_id, k=k
-        ), Timer() as timer:
+        with span("summarize", trajectory_id=raw.trajectory_id, k=k) as sp:
             report = DegradationReport()
             if sanitize:
                 raw, cleaned = _sanitize(raw, sanitizer_config)
@@ -261,7 +259,7 @@ class STMaker:
             summary = self._run_stages(raw, k, report, strict=strict)
         m = metrics()
         m.counter("summarize.calls").inc()
-        m.histogram("summarize.latency_ms").observe(timer.ms)
+        m.histogram("summarize.latency_ms").observe(sp.duration_ms)
         m.histogram(
             "summarize.partitions", buckets=(1, 2, 3, 5, 8, 13, 21)
         ).observe(summary.partition_count)
@@ -393,96 +391,94 @@ class STMaker:
         whole item, so every span recorded inside — in whichever process —
         carries its ``trace_id``, rooted at the ``item`` span opened here.
         A :class:`~repro.resilience.LatencyBreakdown` is always recorded
-        (queue wait against ``trace.anchor_unix_s``, per-attempt exec
-        time, backoff, and the ``item`` span's subtree summed per span
-        name) and attached to the outcome.
+        and attached to the outcome.  It is read from the item's spans once
+        the ``item`` span closes: ``total_s`` is that span, ``exec_s`` the
+        sum of its ``attempt`` spans, ``stages_s`` its subtree summed per
+        span name, and queue wait runs from ``trace.anchor_unix_s`` to the
+        span's start.
         """
         m = metrics()
         m.counter("resilience.batch.items").inc()
-        item_started = time.perf_counter()
         breakdown = LatencyBreakdown(
             trace_id=trace.trace_id if trace is not None else None,
             admission_wait_s=admission_wait_s,
         )
-        if trace is not None and trace.anchor_unix_s > 0.0:
-            breakdown.queue_wait_s = max(
-                0.0, wall_clock_of(item_started) - trace.anchor_unix_s
-            )
         attempts = 0
         retries = 0
         sanitization = None
-
-        def quarantine(error_type: str, message: str) -> ItemOutcome:
-            """Settle the item as quarantined: counter, event, ``item_end``."""
-            m.counter("resilience.batch.quarantined").inc()
-            emit_event(
-                "quarantine", trajectory_id=raw.trajectory_id,
-                index=index, error_type=error_type, attempts=attempts,
-                error=message,
-            )
-            self._note_item_end(m, raw.trajectory_id, index, False, breakdown)
-            return ItemOutcome(index, None, QuarantineEntry(
-                index, raw.trajectory_id, error_type, message, attempts,
-                total_duration_s=breakdown.total_s,
-                shard_id=shard_id, latency=breakdown,
-            ), sanitization, retries, latency=breakdown)
-
+        summary = None
+        error: ReproError | None = None
         if deadline.expired:
-            return quarantine("DeadlineExceeded", (
+            picked_up_unix_s = time.time()
+            error = DeadlineExceeded(
                 f"batch deadline budget of {deadline.budget_s:g}s exhausted "
                 f"before item {index}"
-            ))
-        with use_trace(trace), span(
-            "item", index=index, trajectory_id=raw.trajectory_id,
-            shard_id=shard_id,
-        ) as item_span:
-            try:
-                with span_listener(breakdown.note_span):
-                    if sanitize:
-                        raw, sanitization = _sanitize(raw, sanitizer_config)
-                    while True:
-                        attempts += 1
-                        breakdown.attempts = attempts
-                        attempt_started = time.perf_counter()
-                        try:
+            )
+        else:
+            with use_trace(trace), span(
+                "item", index=index, trajectory_id=raw.trajectory_id,
+                shard_id=shard_id,
+            ) as item_span:
+                try:
+                    with span_listener(breakdown.note_span):
+                        if sanitize:
+                            raw, sanitization = _sanitize(raw, sanitizer_config)
+                        while True:
+                            attempts += 1
                             try:
                                 with span("attempt", attempt=attempts):
                                     summary = self.summarize(raw, k=k, strict=strict)
-                            finally:
-                                breakdown.exec_s += (
-                                    time.perf_counter() - attempt_started
+                                break
+                            except TransientError as exc:
+                                if attempts > retry.max_retries:
+                                    raise
+                                delay = retry.delay_s(attempts)
+                                if delay >= deadline.remaining_s():
+                                    raise  # backing off would blow the budget
+                                m.counter("resilience.batch.retries").inc()
+                                retries += 1
+                                emit_event(
+                                    "retry", trajectory_id=raw.trajectory_id,
+                                    attempt=attempts, delay_s=delay,
+                                    error=f"{type(exc).__name__}: {exc}",
                                 )
-                            breakdown.total_s = time.perf_counter() - item_started
-                            m.counter("resilience.batch.ok").inc()
-                            self._note_item_end(
-                                m, raw.trajectory_id, index, True, breakdown
-                            )
-                            return ItemOutcome(
-                                index, summary, None, sanitization, retries,
-                                latency=breakdown,
-                            )
-                        except TransientError as exc:
-                            if attempts > retry.max_retries:
-                                raise
-                            delay = retry.delay_s(attempts)
-                            if delay >= deadline.remaining_s():
-                                raise  # backing off would blow the budget
-                            m.counter("resilience.batch.retries").inc()
-                            retries += 1
-                            emit_event(
-                                "retry", trajectory_id=raw.trajectory_id,
-                                attempt=attempts, delay_s=delay,
-                                error=f"{type(exc).__name__}: {exc}",
-                            )
-                            if delay > 0.0:
-                                sleeper(delay)
-                                breakdown.backoff_s += delay
-            except ReproError as exc:
-                if strict:
-                    raise
-                item_span.set_tag("quarantined", True)
-                breakdown.total_s = time.perf_counter() - item_started
-                return quarantine(type(exc).__name__, str(exc))
+                                if delay > 0.0:
+                                    sleeper(delay)
+                                    breakdown.backoff_s += delay
+                except ReproError as exc:
+                    if strict:
+                        raise
+                    item_span.set_tag("quarantined", True)
+                    error = exc
+            # Settled once the item span has closed: every duration here
+            # is a span's.
+            picked_up_unix_s = wall_clock_of(item_span.start_s)
+            breakdown.total_s = item_span.duration_ms / 1000.0
+            breakdown.exec_s = breakdown.stages_s.get("attempt", 0.0)
+        if trace is not None and trace.anchor_unix_s > 0.0:
+            breakdown.queue_wait_s = max(
+                0.0, picked_up_unix_s - trace.anchor_unix_s
+            )
+        breakdown.attempts = attempts
+        if error is None:
+            m.counter("resilience.batch.ok").inc()
+            self._note_item_end(m, raw.trajectory_id, index, True, breakdown)
+            return ItemOutcome(
+                index, summary, None, sanitization, retries, latency=breakdown,
+            )
+        error_type, message = type(error).__name__, str(error)
+        m.counter("resilience.batch.quarantined").inc()
+        emit_event(
+            "quarantine", trajectory_id=raw.trajectory_id,
+            index=index, error_type=error_type, attempts=attempts,
+            error=message,
+        )
+        self._note_item_end(m, raw.trajectory_id, index, False, breakdown)
+        return ItemOutcome(index, None, QuarantineEntry(
+            index, raw.trajectory_id, error_type, message, attempts,
+            total_duration_s=breakdown.total_s,
+            shard_id=shard_id, latency=breakdown,
+        ), sanitization, retries, latency=breakdown)
 
     @staticmethod
     def _note_item_end(
@@ -490,9 +486,11 @@ class STMaker:
     ) -> None:
         """Publish one settled item: latency histogram + ``item_end`` event.
 
-        The event carries the full breakdown (it feeds the SLO engine and
-        ``stmaker obs analyze``); the payload is only built when the event
-        stream is live, keeping the always-on path to one histogram call.
+        Every counted item settles here exactly once, crash-quarantined
+        ones included (the supervisor calls this parent-side).  The event
+        carries the full breakdown (it feeds the SLO engine and ``stmaker
+        obs analyze``); the payload is only built when the event stream is
+        live, keeping the always-on path to one histogram call.
         """
         m.histogram("resilience.item.latency_ms").observe(
             breakdown.total_s * 1000.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core import SummarizerConfig, TrajectorySummary
 from repro.exceptions import CalibrationError, ConfigError
-from repro.obs import Timer, span
+from repro.obs import span
 from repro.experiments.ff import feature_frequency, landmark_usage
 from repro.experiments.userstudy import (
     GradedSummary,
@@ -309,13 +309,13 @@ def run_efficiency(
         except CalibrationError:
             continue
 
-    # |T| buckets of width 10 landmarks.  Each timing also opens an
+    # |T| buckets of width 10 landmarks.  Each timing is an
     # ``experiment.summarize`` span, so it shows up in any active trace.
     buckets: dict[int, list[float]] = {}
     for trip, symbolic in calibrated:
-        with span("experiment.summarize", size=len(symbolic)), Timer() as timer:
+        with span("experiment.summarize", size=len(symbolic)) as sp:
             scenario.stmaker.summarize_calibrated(trip.raw, symbolic)
-        buckets.setdefault(len(symbolic) // 10, []).append(timer.ms)
+        buckets.setdefault(len(symbolic) // 10, []).append(sp.duration_ms)
     by_size = [
         (f"{bucket * 10}-{bucket * 10 + 9}", float(np.mean(times)))
         for bucket, times in sorted(buckets.items())
@@ -326,8 +326,8 @@ def run_efficiency(
     for k in ks:
         times = []
         for trip, symbolic in sample:
-            with span("experiment.summarize", k=k), Timer() as timer:
+            with span("experiment.summarize", k=k) as sp:
                 scenario.stmaker.summarize_calibrated(trip.raw, symbolic, k=k)
-            times.append(timer.ms)
+            times.append(sp.duration_ms)
         by_k.append((k, float(np.mean(times))))
     return EfficiencyResult(by_size, by_k)

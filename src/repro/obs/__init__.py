@@ -1,9 +1,9 @@
 """Observability substrate: tracing spans, metrics registry, profiling.
 
-Everything here is zero-dependency and **off by default**: with neither
-tracing nor metrics enabled, an instrumented call site reduces to a
-function call returning a shared no-op singleton, keeping the hot path
-fast.  Enable explicitly (or via the CLI's ``--trace``/``--metrics-out``
+Everything here is zero-dependency and **off by default**: a span
+always times its block, but with neither tracing nor metrics enabled
+nothing is recorded, and ``metrics()`` returns a shared null registry.
+Enable explicitly (or via the CLI's ``--trace``/``--metrics-out``
 flags)::
 
     from repro import obs
@@ -101,11 +101,9 @@ from repro.obs.slo import (
     slo_engine,
 )
 from repro.obs.trace import (
-    NULL_SPAN,
     Span,
     SpanRecord,
     StageTotal,
-    Timer,
     TraceCollector,
     TraceContext,
     clear_span_context,
@@ -126,7 +124,6 @@ __all__ = [
     # trace
     "span",
     "span_listener",
-    "Timer",
     "Span",
     "SpanRecord",
     "StageTotal",
@@ -135,7 +132,6 @@ __all__ = [
     "disable_tracing",
     "tracing_enabled",
     "get_collector",
-    "NULL_SPAN",
     # trace context (request identity)
     "TraceContext",
     "new_trace_id",

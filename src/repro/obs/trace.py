@@ -7,10 +7,12 @@ Finished spans land in a thread-safe :class:`TraceCollector` that can be
 dumped as JSON (``stmaker summarize --trace``) or aggregated into a
 per-stage time breakdown (the benchmark harness).
 
-Tracing is **off by default** and the disabled path is engineered to stay
-off the profile: ``span(...)`` then returns a shared no-op singleton, so
-an instrumented call site costs one function call and two ``None`` tests.
-Enable it explicitly::
+A span always times its block: :attr:`Span.duration_ms` is the one
+wall-clock reading of that work, and the pipeline's recorded durations
+(stage latencies, item totals, shard and batch durations, Fig. 12
+timings) are span durations.  Collecting spans is **off by default**; an
+uncollected span skips the span stack and ids, so it costs a small
+object and two ``perf_counter`` reads.  Enable collection explicitly::
 
     from repro import obs
 
@@ -373,23 +375,6 @@ class TraceCollector:
             fh.write(self.to_json())
 
 
-class _NullSpan:
-    """Shared do-nothing span returned while nothing listens."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def set_tag(self, key: str, value: object) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
 #: Context-local stack of active spans.  A ``ContextVar`` is both
 #: thread-safe and async-safe: a new thread (or task) starts with the
 #: default empty stack instead of inheriting a parent mid-span.
@@ -429,17 +414,19 @@ class span_listener:
 
 
 class Span:
-    """An active span; use via :func:`span`, not directly.
+    """A timed block; use via :func:`span`, not directly.
 
-    With a collector it records a :class:`SpanRecord`; with a listener
-    it reports ``(name, duration_s, ok)``.  Without a collector it stays
-    off the span stack: it has no id a child could link to.
+    It always sets :attr:`duration_ms` on exit.  With a collector it
+    records a :class:`SpanRecord`; with a listener it reports
+    ``(name, duration_s, ok)``.  Without a collector it stays off the
+    span stack: it has no id a child could link to.  :attr:`start_s` is
+    the ``time.perf_counter()`` reading at entry.
     """
 
     __slots__ = (
         "name", "tags", "span_id", "parent_id", "depth", "trace_id",
         "duration_ms", "status", "error",
-        "_collector", "_listener", "_start", "_token",
+        "start_s", "_collector", "_listener", "_token",
     )
 
     def __init__(
@@ -481,11 +468,11 @@ class Span:
                 if ctx is not None:
                     self.trace_id = ctx.trace_id
             self._token = _stack.set(stack + (self,))
-        self._start = time.perf_counter()
+        self.start_s = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration_s = time.perf_counter() - self._start
+        duration_s = time.perf_counter() - self.start_s
         self.duration_ms = duration_s * 1000.0
         if exc_type is not None:
             self.status = "error"
@@ -499,49 +486,24 @@ class Span:
             _stack.reset(self._token)
             self._collector.add(
                 SpanRecord(
-                    self.span_id, self.parent_id, self.name, self._start,
+                    self.span_id, self.parent_id, self.name, self.start_s,
                     self.duration_ms, self.status, self.error, self.depth,
                     self.tags, threading.get_ident(), self.trace_id,
-                    wall_clock_of(self._start),
+                    wall_clock_of(self.start_s),
                 )
             )
         return False  # never swallow the exception
 
 
-def span(name: str, **tags: object):
+def span(name: str, **tags: object) -> Span:
     """A context manager measuring one named unit of work.
 
-    With tracing disabled and no :class:`span_listener` installed (the
-    default) this returns a shared no-op singleton; otherwise it returns
-    a live :class:`Span` recording wall time, outcome (``ok``/``error``),
-    nesting, and *tags*.
+    The span always times the block (read :attr:`Span.duration_ms` after
+    it); it records wall time, outcome (``ok``/``error``), nesting and
+    *tags* when tracing is enabled, and reports to the active
+    :class:`span_listener`, if any.
     """
-    collector = _collector
-    listener = _listener.get()
-    if collector is None and listener is None:
-        return NULL_SPAN
-    return Span(name, tags, collector, listener)
-
-
-class Timer:
-    """Always-on wall-clock timer: ``with Timer() as t: ...; t.ms``.
-
-    Unlike :func:`span` it measures even when tracing is disabled — it is
-    the substrate for experiment timings (Fig. 12) that must not depend on
-    observability being switched on.  Pair it with a span to also trace
-    the block: ``with span("summarize"), Timer() as t: ...``.
-    """
-
-    __slots__ = ("_start", "ms")
-
-    def __enter__(self) -> "Timer":
-        self.ms = 0.0
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.ms = (time.perf_counter() - self._start) * 1000.0
-        return False
+    return Span(name, tags, _collector, _listener.get())
 
 
 def enable_tracing(
@@ -558,7 +520,7 @@ def enable_tracing(
 
 
 def disable_tracing() -> None:
-    """Stop collecting spans; with no listener, ``span()`` is a no-op again."""
+    """Stop collecting spans; ``span()`` then only times its block."""
     global _collector
     _collector = None
 

@@ -21,10 +21,11 @@ class LatencyBreakdown:
     """Where one batch item's wall-clock time went, phase by phase.
 
     Recorded for **every** item — serial, thread, or process executor —
-    regardless of whether tracing/metrics/events are enabled: the cost is
-    a handful of ``perf_counter`` reads against items that take
-    milliseconds.  A plain mutable dataclass so it pickles across the
-    process boundary inside its :class:`ItemOutcome`.
+    regardless of whether tracing/metrics/events are enabled: every
+    duration here is read from a span the item runs anyway, so the cost
+    is one listener call per span against items that take milliseconds.
+    A plain mutable dataclass so it pickles across the process boundary
+    inside its :class:`ItemOutcome`.
 
     The phases tile the item's life: *admission wait* (blocked in
     :meth:`~repro.serving.AdmissionPolicy.admit` before the batch
@@ -34,7 +35,8 @@ class LatencyBreakdown:
     (input-order rebuild after the pool drained — a per-batch constant).
     ``stages_s`` is the item span's subtree summed per span name, heard
     through a :class:`~repro.obs.span_listener` whether or not tracing
-    is on.
+    is on; ``exec_s`` is its ``attempt`` entry and ``total_s`` the
+    ``item`` span itself.
     """
 
     #: Request identity, when a :class:`~repro.obs.TraceContext` was active.
@@ -46,7 +48,7 @@ class LatencyBreakdown:
     exec_s: float = 0.0
     backoff_s: float = 0.0
     reassembly_s: float = 0.0
-    #: Wall-clock seconds from pickup to settled outcome: sanitize,
+    #: The ``item`` span's seconds, pickup to settled outcome: sanitize,
     #: exec and backoff.
     total_s: float = 0.0
     #: Seconds per span name below the item's ``item`` span: the

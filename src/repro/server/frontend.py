@@ -1,10 +1,10 @@
 """The request front-end: router, queue consumer, and request handles.
 
-:class:`SummarizationServer` is the long-lived in-process front door the
-ROADMAP's "millions of users" story needs: callers :meth:`~SummarizationServer.submit`
-batches and get back a :class:`RequestHandle` (a small future); consumer
-threads drain the bounded multi-tenant :class:`~repro.server.queue.RequestQueue`
-in weighted round-robin order and serve each request through the
+:class:`SummarizationServer` is the long-lived in-process front door:
+callers :meth:`~SummarizationServer.submit` batches and get back a
+:class:`RequestHandle` (a small future); consumer threads drain the
+bounded multi-tenant :class:`~repro.server.queue.RequestQueue` in
+weighted round-robin order and serve each request through the
 **existing** :meth:`~repro.core.STMaker.summarize_many` path — the one
 batch runner, :func:`repro.serving.run_sharded`, serial at the default
 ``workers=1`` — against a cached view of the model

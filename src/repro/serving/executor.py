@@ -179,21 +179,22 @@ def run_shard(
     whole batch's clock for a serial task, one per process shard.  A
     sharded task (``shard_id`` set) runs under a ``"shard"`` span and is
     bracketed by ``shard_start``/``shard_end`` events, tagged
-    ``degraded=True`` on the breaker's in-parent path.  *on_item* sees each outcome as it settles
-    (the live progress tally).  In ``strict`` mode the first item error
-    propagates.
+    ``degraded=True`` on the breaker's in-parent path; its duration is
+    the span's.  A serial task has no shard span and reports a zero
+    duration, which nothing reads.  *on_item* sees each outcome as it
+    settles (the live progress tally).  In ``strict`` mode the first item
+    error propagates.
     """
     deadline = Deadline(task.deadline_s)
     sharded = task.shard_id is not None
     tags = {"degraded": True} if degraded else {}
     if sharded:
         emit_event("shard_start", shard_id=task.shard_id, items=len(task.items), **tags)
-    started = time.perf_counter()
     outcomes: list[ItemOutcome] = []
     with (
         span("shard", shard_id=task.shard_id, items=len(task.items), **tags)
         if sharded else contextlib.nullcontext()
-    ):
+    ) as shard_span:
         for offset, index in enumerate(task.indices):
             outcome = stmaker._summarize_item(
                 index, task.items[offset], k=task.k,
@@ -206,7 +207,7 @@ def run_shard(
             outcomes.append(outcome)
             if on_item is not None:
                 on_item(outcome)
-    duration_ms = (time.perf_counter() - started) * 1000.0
+    duration_ms = shard_span.duration_ms if sharded else 0.0
     ok = sum(1 for outcome in outcomes if outcome.summary is not None)
     rate = len(outcomes) / (duration_ms / 1000.0) if duration_ms > 0.0 else 0.0
     if sharded:

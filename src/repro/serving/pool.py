@@ -261,7 +261,6 @@ def run_sharded(
         span_tags = {**shape, "executor": executor}
         end_tags = {"shards": len(shards)}
     emit_event("batch_start", items=len(items), k=k, **shape)
-    started = time.perf_counter()
     board = _ProgressBoard(len(items), progress)
     try:
         with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
@@ -298,7 +297,7 @@ def run_sharded(
     emit_event(
         "batch_end", ok=result.ok_count,
         quarantined=result.quarantined_count,
-        duration_ms=(time.perf_counter() - started) * 1000.0, **end_tags,
+        duration_ms=sp.duration_ms, **end_tags,
     )
     return result
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigError, WorkerCrashError
-from repro.obs import emit_event, events_enabled, metrics
+from repro.obs import emit_event, metrics
 from repro.resilience import ItemOutcome, LatencyBreakdown, QuarantineEntry
 from repro.serving.executor import (
     ShardResult,
@@ -365,8 +365,11 @@ def _synthesize_crash_result(unit: _Unit, message: str) -> ShardResult:
     with them, so the batch counters (``resilience.batch.items`` /
     ``.quarantined``) and the ``quarantine`` event are recorded here,
     parent-side — keeping the batch totals identical to a serial run
-    that quarantined the same items.
+    that quarantined the same items.  Each item settles through the
+    serial path's item-end publisher with ``total_s=0``.
     """
+    from repro.core.summarizer import STMaker
+
     m = metrics()
     outcomes = []
     for offset, (index, raw) in enumerate(zip(unit.task.indices, unit.task.items)):
@@ -385,12 +388,7 @@ def _synthesize_crash_result(unit: _Unit, message: str) -> ShardResult:
             admission_wait_s=unit.task.admission_wait_s,
             attempts=unit.attempts,
         )
-        if events_enabled():
-            emit_event(
-                "item_end", trajectory_id=raw.trajectory_id, index=index,
-                ok=False, duration_ms=0.0, attempts=unit.attempts,
-                trace_id=breakdown.trace_id, breakdown=breakdown.to_dict(),
-            )
+        STMaker._note_item_end(m, raw.trajectory_id, index, False, breakdown)
         outcomes.append(ItemOutcome(index, None, QuarantineEntry(
             index, raw.trajectory_id, "WorkerCrashError", message,
             unit.attempts, shard_id=unit.task.shard_id, latency=breakdown,

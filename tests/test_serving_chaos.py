@@ -173,6 +173,32 @@ class TestCrashContainment:
         assert _verdicts(batch) == {(2, poison, "WorkerCrashError")}
         assert registry.counter("serving.bisected_shards").value >= 1.0
 
+    def test_crash_quarantine_observes_the_item_latency_histogram(
+        self, stmaker, corpus, clean_obs
+    ):
+        """An item quarantined parent-side for a worker crash settles like
+        a serial one: one ``resilience.item.latency_ms`` observation and
+        one ``item_end`` event per counted item, at zero duration."""
+        registry = obs.enable_metrics(MetricsRegistry())
+        log = obs.EventLog()
+        obs.enable_events().subscribe(log)
+        items = corpus[:6]
+        poison = items[3].trajectory_id
+        injector = FaultInjector(_crash_specs(poison))
+        with injector.installed(stmaker):
+            batch = stmaker.summarize_many(
+                items, k=2, workers=2, shard_size=2, executor="process",
+                shard_retry=NO_RETRY,
+            )
+        assert _verdicts(batch) == {(3, poison, "WorkerCrashError")}
+        counted = registry.counter("resilience.batch.items").value
+        assert counted == len(items)
+        assert registry.histogram("resilience.item.latency_ms").count == counted
+        [crashed] = [
+            e for e in log.events("item_end") if e.trajectory_id == poison
+        ]
+        assert (crashed.payload["ok"], crashed.payload["duration_ms"]) == (False, 0.0)
+
     def test_multiple_poison_items(self, stmaker, corpus, clean_obs):
         poisons = {corpus[1].trajectory_id, corpus[6].trajectory_id}
         injector = FaultInjector(_crash_specs(*sorted(poisons)))

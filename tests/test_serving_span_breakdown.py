@@ -1,11 +1,12 @@
 """Each batch item's latency breakdown is read from its own spans.
 
 ``LatencyBreakdown.stages_s`` is the item span's subtree summed per span
-name, heard through a span listener whether or not tracing is on.  With
-tracing on, the same spans land in the trace, so the two views must
-agree exactly — on the serial path and on the pool named by
-``SERVING_TEST_EXECUTOR`` with ``SERVING_TEST_WORKERS`` workers (CI
-matrix: thread/process × 1/4).
+name, heard through a span listener whether or not tracing is on;
+``total_s`` is the ``item`` span and ``exec_s`` the sum of its
+``attempt`` spans.  With tracing on, the same spans land in the trace,
+so the two views must agree exactly — on the serial path and on the
+pool named by ``SERVING_TEST_EXECUTOR`` with ``SERVING_TEST_WORKERS``
+workers (CI matrix: thread/process × 1/4).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs.metrics import MetricsRegistry
 
 WORKERS = int(os.environ.get("SERVING_TEST_WORKERS", "4"))
 EXECUTOR = os.environ.get("SERVING_TEST_EXECUTOR", "thread")
@@ -41,6 +43,7 @@ def trips(scenario):
 def clean_obs():
     yield
     obs.disable_tracing()
+    obs.disable_metrics()
 
 
 def _subtree_seconds(records, root) -> dict[str, float]:
@@ -60,6 +63,7 @@ def _subtree_seconds(records, root) -> dict[str, float]:
 @pytest.mark.parametrize("run", list(RUNS))
 def test_breakdown_equals_item_span_subtree(scenario, trips, run, clean_obs):
     collector = obs.enable_tracing()
+    registry = obs.enable_metrics(MetricsRegistry())
     batch = scenario.stmaker.summarize_many(trips, **RUNS[run])
     assert batch.ok_count == len(trips)
     traces = obs.group_traces(collector.spans())
@@ -71,6 +75,13 @@ def test_breakdown_equals_item_span_subtree(scenario, trips, run, clean_obs):
         assert {"sanitize", "attempt", "summarize", "partition.dp"} <= set(expected)
         for name, seconds in expected.items():
             assert latency.stages_s[name] == pytest.approx(seconds, rel=1e-9), name
+        assert latency.total_s == pytest.approx(item.duration_ms / 1000.0, rel=1e-9)
+        attempts_s = sum(r.duration_ms for r in records if r.name == "attempt") / 1000.0
+        assert latency.exec_s == pytest.approx(attempts_s, rel=1e-9)
+    summarize_ms = sum(r.duration_ms for r in collector.by_name("summarize"))
+    histogram = registry.histogram("summarize.latency_ms")
+    assert histogram.count == len(trips)
+    assert histogram.sum == pytest.approx(summarize_ms, rel=1e-9)
 
 
 def test_sanitize_is_inside_the_item_total(scenario, trips):

@@ -9,20 +9,24 @@ decoding yields the most probable road sequence.
 Route distances between consecutive candidates come from bounded Dijkstra
 searches launched from the distinct exit nodes of the current candidate set.
 Each stage pair's route matrix is computed once, both to detect chain breaks
-and to drive the Viterbi step.  Within one ``match`` call a node's search
-tree is reused for any later pair whose bound is no larger: a bounded search
+and to drive the Viterbi step.  Search trees are cached on the road network
+(:meth:`RoadNetwork.search_trees`), so every ``match`` call, on any thread,
+reuses a node's tree for any pair whose bound is no larger: a bounded search
 settles nodes in the same order, with the same float sums, as a larger-bound
-one, so dropping the entries beyond the smaller bound is exact.
+one, so dropping the entries beyond the smaller bound is exact.  A match is
+therefore the same however warm the cache is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from repro.exceptions import MapMatchError
 from repro.mapmatch.candidates import Candidate, candidates_for_point
+from repro.obs import span
 from repro.roadnet import (
     EdgeId,
     NodeId,
@@ -143,36 +147,44 @@ class HMMMapMatcher:
             raise MapMatchError("cannot match an empty sample sequence")
         stages: list[tuple[int, list[Candidate]]] = []
         breaks: list[int] = []
-        for i, sample in enumerate(points):
-            cands = candidates_for_point(
-                self.network, sample.point,
-                self.config.candidate_radius_m, self.config.max_candidates,
-            )
-            if cands:
-                stages.append((i, cands))
-            else:
-                breaks.append(i)
+        with span("mapmatch.candidates"):
+            for i, sample in enumerate(points):
+                cands = candidates_for_point(
+                    self.network, sample.point,
+                    self.config.candidate_radius_m, self.config.max_candidates,
+                )
+                if cands:
+                    stages.append((i, cands))
+                else:
+                    breaks.append(i)
         if not stages:
             raise MapMatchError("no sample lies near any road")
 
-        # Search trees by source node, as (bound, costs); local to this call.
-        trees: dict[NodeId, tuple[float, dict[NodeId, float]]] = {}
+        # Unbroken chains as (first stage, end stage, route steps).
+        chains: list[tuple[int, int, list[tuple[float, list[list[float]]]]]] = []
+        with span("mapmatch.routes") as routes:
+            searches = 0
+            chain_start = 0
+            steps: list[tuple[float, list[list[float]]]] = []
+            for k in range(1, len(stages)):
+                (ia, cands_a), (ib, cands_b) = stages[k - 1], stages[k]
+                straight = self.network.projector.distance_m(
+                    points[ia].point, points[ib].point
+                )
+                matrix, searched = self._route_distances(cands_a, cands_b, straight)
+                searches += searched
+                if any(cell < math.inf for row in matrix for cell in row):
+                    steps.append((straight, matrix))
+                else:
+                    chains.append((chain_start, k, steps))
+                    breaks.append(ib)
+                    chain_start, steps = k, []
+            chains.append((chain_start, len(stages), steps))
+            routes.set_tag("searches", searches)
         matched: list[MatchedPoint] = []
-        chain_start = 0
-        steps: list[tuple[float, list[list[float]]]] = []
-        for k in range(1, len(stages)):
-            (ia, cands_a), (ib, cands_b) = stages[k - 1], stages[k]
-            straight = self.network.projector.distance_m(
-                points[ia].point, points[ib].point
-            )
-            matrix = self._route_distances(cands_a, cands_b, straight, trees)
-            if any(cell < math.inf for row in matrix for cell in row):
-                steps.append((straight, matrix))
-            else:
-                matched.extend(self._decode(stages[chain_start:k], steps))
-                breaks.append(ib)
-                chain_start, steps = k, []
-        matched.extend(self._decode(stages[chain_start:], steps))
+        with span("mapmatch.decode"):
+            for start, end, chain_steps in chains:
+                matched.extend(self._decode(stages[start:end], chain_steps))
         matched.sort(key=lambda m: m.point_index)
         return MatchResult(matched, sorted(set(breaks)))
 
@@ -190,12 +202,14 @@ class HMMMapMatcher:
         from_cands: list[Candidate],
         to_cands: list[Candidate],
         straight_m: float,
-        trees: dict[NodeId, tuple[float, dict[NodeId, float]]],
-    ) -> list[list[float]]:
+    ) -> tuple[list[list[float]], int]:
         """Route distance matrix between two candidate sets (inf = no route).
 
-        *trees* caches search trees across calls; a tree searched to a
+        Returns the matrix and the number of searches this call ran.
+        Search trees come from the network's cache; a tree searched to a
         larger bound serves this one with its costs beyond the bound dropped.
+        Another thread may replace a cached entry at any time, so this call
+        binds the entries it checked and reads only those.
         """
         network = self.network
         bound = self.config.route_bound_scale * straight_m + self.config.route_bound_slack_m
@@ -211,10 +225,16 @@ class HMMMapMatcher:
             exits.append(options)
             exit_nodes.update(node for node, _ in options)
 
+        cache = network.search_trees()
+        trees: dict[NodeId, dict[NodeId, float]] = {}
+        searches = 0
         for node in exit_nodes:
-            tree = trees.get(node)
-            if tree is None or tree[0] < bound:
-                trees[node] = (bound, dijkstra_all(network, node, max_cost=bound))
+            entry = cache.get(node)
+            if entry is None or entry[0] < bound:
+                entry = (bound, dijkstra_all(network, node, max_cost=bound))
+                cache[node] = entry
+                searches += 1
+            trees[node] = entry[1]
 
         # Entry options per to-candidate: (node, cost from that node).
         entries: list[list[tuple[NodeId, float]]] = []
@@ -236,7 +256,7 @@ class HMMMapMatcher:
                     if edge_a.direction is TrafficDirection.TWO_WAY or delta >= 0.0:
                         best = abs(delta) * edge_a.length_m
                 for exit_node, exit_cost in exit_opts:
-                    from_costs = trees[exit_node][1]
+                    from_costs = trees[exit_node]
                     for entry_node, entry_cost in entry_opts:
                         mid = from_costs.get(entry_node)
                         if mid is None or mid > bound:
@@ -244,7 +264,7 @@ class HMMMapMatcher:
                         best = min(best, exit_cost + mid + entry_cost)
                 row.append(best)
             matrix.append(row)
-        return matrix
+        return matrix, searches
 
     def _decode(
         self,
@@ -315,19 +335,16 @@ class NearestEdgeMatcher:
         matched = []
         breaks = []
         for i, sample in enumerate(points):
-            hit = self.network.nearest_edge(sample.point, self.search_radius_m)
+            # The first of equal distances wins, as in RoadNetwork.nearest_edge.
+            hit = min(
+                self.network._project_near(sample.point, self.search_radius_m),
+                key=itemgetter(0),
+                default=None,
+            )
             if hit is None:
                 breaks.append(i)
                 continue
-            dist, edge = hit
-            from repro.geo import point_segment_distance_m
-
-            _, fraction = point_segment_distance_m(
-                sample.point,
-                self.network.node(edge.u).point,
-                self.network.node(edge.v).point,
-                self.network.projector,
-            )
+            dist, fraction, edge = hit
             matched.append(MatchedPoint(i, edge.edge_id, fraction, dist))
         if not matched:
             raise MapMatchError("no sample lies near any road")

@@ -4,7 +4,9 @@ Edges are stored once with a :class:`TrafficDirection`; a two-way edge is
 traversable in both directions, a one-way edge only from ``u`` to ``v``.
 All metric queries (nearest node / nearest edge) are served by grid indexes,
 and ``out_edges`` by a directed adjacency; all are built lazily on first use
-and invalidated on mutation.
+and invalidated on mutation.  The map matcher's cache of bounded search
+trees (:meth:`RoadNetwork.search_trees`) is one of these indexes: every
+mutation drops it, and it is never serialized.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class _Indexes:
     edge_grid: GridIndex[EdgeId] | None = None
     out_edges: dict[NodeId, tuple[tuple[RoadEdge, NodeId], ...]] | None = None
     max_edge_length_m: float | None = None
+    search_trees: dict[NodeId, tuple[float, dict[NodeId, float]]] = field(
+        default_factory=dict
+    )
 
 
 class RoadNetwork:
@@ -213,6 +218,16 @@ class RoadNetwork:
             if edge.other_end(u) == v and edge.allows(u, v):
                 return edge
         return None
+
+    def search_trees(self) -> dict[NodeId, tuple[float, dict[NodeId, float]]]:
+        """Bounded shortest-path trees by source node, as ``(bound, costs)``.
+
+        Filled and read by the map matcher; emptied by every mutation.
+        Callers never mutate a stored tree: a search to a larger bound
+        replaces the node's whole entry, so a reader that bound an entry
+        keeps a consistent tree without a lock.
+        """
+        return self._indexes.search_trees
 
     # -- spatial queries ----------------------------------------------------
 

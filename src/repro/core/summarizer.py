@@ -18,8 +18,9 @@ restores raise-on-first-error).  ``STMaker.summarize_many`` adds per-item
 error isolation, bounded retry, deadline budgets and a quarantine list on
 top — see ``docs/ROBUSTNESS.md`` for the full degradation ladder — by
 forwarding to the one batch runner in :mod:`repro.serving`, which runs
-serially for ``workers=1`` and on a sharded worker pool otherwise
-(element-wise identical results; ``docs/SERVING.md``).
+serially in the calling thread or on a sharded process pool
+(element-wise identical results; ``docs/SERVING.md``) and settles every
+item in the caller's process.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from repro.landmarks import LandmarkIndex
 from repro.obs import (
     TraceContext,
     emit_event,
-    events_enabled,
     metrics,
     span,
     span_listener,
@@ -333,8 +333,12 @@ class STMaker:
         temp artifact).  The pool-shape options are validated for every
         call, serial included, before admission.
 
-        A ``progress`` callback receives a :class:`BatchProgress` snapshot
-        after every item; the live rate and ETA are also mirrored into the
+        Each item settles once, in this process, as its outcome arrives:
+        the ``resilience.batch.*`` counters, the
+        ``resilience.item.latency_ms`` histogram, the ``quarantine`` and
+        ``item_end`` events, then progress.  A ``progress`` callback
+        receives a :class:`BatchProgress` snapshot after every item; the
+        live rate and ETA are also mirrored into the
         ``resilience.batch.items_per_s`` / ``.eta_s`` gauges and onto the
         event stream.
 
@@ -375,7 +379,6 @@ class STMaker:
         sleeper: Callable[[float], None],
         shard_id: int | None = None,
         trace: TraceContext | None = None,
-        admission_wait_s: float = 0.0,
     ) -> ItemOutcome:
         """One batch item end to end: sanitize, summarize, retry, quarantine.
 
@@ -385,7 +388,10 @@ class STMaker:
         identical to ``workers=1`` by construction.  Raises
         only in ``strict`` mode; otherwise every failure becomes the
         outcome's quarantine entry.  *shard_id* is pure provenance for
-        that entry (``None`` on the serial path).
+        that entry (``None`` on the serial path).  It only computes the
+        outcome: the batch runner settles it in the caller's process
+        (counters, latency histogram, ``quarantine`` and ``item_end``
+        events), so a worker process records none of those.
 
         *trace* is the item's request identity: it is activated around the
         whole item, so every span recorded inside — in whichever process —
@@ -397,11 +403,8 @@ class STMaker:
         span name, and queue wait runs from ``trace.anchor_unix_s`` to the
         span's start.
         """
-        m = metrics()
-        m.counter("resilience.batch.items").inc()
         breakdown = LatencyBreakdown(
             trace_id=trace.trace_id if trace is not None else None,
-            admission_wait_s=admission_wait_s,
         )
         attempts = 0
         retries = 0
@@ -435,7 +438,7 @@ class STMaker:
                                 delay = retry.delay_s(attempts)
                                 if delay >= deadline.remaining_s():
                                     raise  # backing off would blow the budget
-                                m.counter("resilience.batch.retries").inc()
+                                metrics().counter("resilience.batch.retries").inc()
                                 retries += 1
                                 emit_event(
                                     "retry", trajectory_id=raw.trajectory_id,
@@ -450,8 +453,8 @@ class STMaker:
                         raise
                     item_span.set_tag("quarantined", True)
                     error = exc
-            # Settled once the item span has closed: every duration here
-            # is a span's.
+            # Read once the item span has closed: every duration here is
+            # a span's.
             picked_up_unix_s = wall_clock_of(item_span.start_s)
             breakdown.total_s = item_span.duration_ms / 1000.0
             breakdown.exec_s = breakdown.stages_s.get("attempt", 0.0)
@@ -461,49 +464,14 @@ class STMaker:
             )
         breakdown.attempts = attempts
         if error is None:
-            m.counter("resilience.batch.ok").inc()
-            self._note_item_end(m, raw.trajectory_id, index, True, breakdown)
             return ItemOutcome(
                 index, summary, None, sanitization, retries, latency=breakdown,
             )
-        error_type, message = type(error).__name__, str(error)
-        m.counter("resilience.batch.quarantined").inc()
-        emit_event(
-            "quarantine", trajectory_id=raw.trajectory_id,
-            index=index, error_type=error_type, attempts=attempts,
-            error=message,
-        )
-        self._note_item_end(m, raw.trajectory_id, index, False, breakdown)
         return ItemOutcome(index, None, QuarantineEntry(
-            index, raw.trajectory_id, error_type, message, attempts,
+            index, raw.trajectory_id, type(error).__name__, str(error), attempts,
             total_duration_s=breakdown.total_s,
             shard_id=shard_id, latency=breakdown,
         ), sanitization, retries, latency=breakdown)
-
-    @staticmethod
-    def _note_item_end(
-        m, trajectory_id: str, index: int, ok: bool, breakdown: LatencyBreakdown
-    ) -> None:
-        """Publish one settled item: latency histogram + ``item_end`` event.
-
-        Every counted item settles here exactly once, crash-quarantined
-        ones included (the supervisor calls this parent-side).  The event
-        carries the full breakdown (it feeds the SLO engine and ``stmaker
-        obs analyze``); the payload is only built when the event stream is
-        live, keeping the always-on path to one histogram call.
-        """
-        m.histogram("resilience.item.latency_ms").observe(
-            breakdown.total_s * 1000.0
-        )
-        if events_enabled():
-            emit_event(
-                "item_end", trajectory_id=trajectory_id,
-                index=index, ok=ok,
-                duration_ms=breakdown.total_s * 1000.0,
-                attempts=breakdown.attempts,
-                trace_id=breakdown.trace_id,
-                breakdown=breakdown.to_dict(),
-            )
 
     def partition(
         self,

@@ -18,8 +18,8 @@ telemetry.  The contract is one serializable bundle per worker:
   :meth:`~repro.obs.events.EventBus.relay`.
 
 :class:`TelemetrySnapshot` carries all three across the boundary as plain
-dicts (JSON- and pickle-safe); :func:`capture_telemetry` builds one on the
-worker side and :func:`apply_telemetry` folds it in on the parent side.
+dicts, by pickle; :func:`capture_telemetry` builds one on the worker side
+and :func:`apply_telemetry` folds it in on the parent side.
 The process executor (:mod:`repro.serving.executor`) is the one
 boundary that runs this contract; serial batches record straight into
 the live sinks.
@@ -27,7 +27,6 @@ the live sinks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.obs.events import EventBus, EventLog, PipelineEvent
@@ -44,34 +43,6 @@ class TelemetrySnapshot:
     metrics: MetricsSnapshot = field(default_factory=dict)
     spans: list[dict[str, object]] = field(default_factory=list)
     events: list[dict[str, object]] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "source": self.source,
-            "metrics": self.metrics,
-            "spans": self.spans,
-            "events": self.events,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TelemetrySnapshot":
-        return cls(
-            source=None if data.get("source") is None else str(data["source"]),
-            metrics=dict(data.get("metrics") or {}),  # type: ignore[arg-type]
-            spans=list(data.get("spans") or []),  # type: ignore[arg-type]
-            events=list(data.get("events") or []),  # type: ignore[arg-type]
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, default=str)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TelemetrySnapshot":
-        return cls.from_dict(json.loads(text))
-
-    @property
-    def empty(self) -> bool:
-        return not (self.metrics or self.spans or self.events)
 
 
 def capture_telemetry(
@@ -97,13 +68,13 @@ def capture_telemetry(
 
 
 def apply_telemetry(
-    snapshot: TelemetrySnapshot | dict[str, object],
+    snapshot: TelemetrySnapshot,
     *,
     registry: MetricsRegistry | None = None,
     collector: TraceCollector | None = None,
     bus: EventBus | None = None,
     graft_parent_id: int | None = None,
-) -> TelemetrySnapshot:
+) -> None:
     """Fold a worker's snapshot into the parent-side sinks.
 
     Only the sinks that are passed receive their half of the bundle, so a
@@ -111,15 +82,11 @@ def apply_telemetry(
     *graft_parent_id* names a live parent-side span (the batch's
     ``summarize_many`` span) that the worker's infrastructure root spans
     attach to instead of floating — see
-    :meth:`~repro.obs.trace.TraceCollector.add_batch`.  Returns the
-    (normalized) snapshot so callers can log what arrived.
+    :meth:`~repro.obs.trace.TraceCollector.add_batch`.
     """
-    if not isinstance(snapshot, TelemetrySnapshot):
-        snapshot = TelemetrySnapshot.from_dict(snapshot)
     if registry is not None and snapshot.metrics:
         registry.merge_snapshot(snapshot.metrics)
     if collector is not None and snapshot.spans:
         collector.add_batch(snapshot.spans, graft_parent_id=graft_parent_id)
     if bus is not None and snapshot.events:
         bus.relay(snapshot.events, source=snapshot.source)
-    return snapshot

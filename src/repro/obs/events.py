@@ -48,8 +48,10 @@ EVENT_KINDS: frozenset[str] = frozenset({
     "load_shed",      # admission control rejected or degraded an intake
     "request_enqueued",  # the serving front-end queued an admitted request
     "request_done",   # ... settled it; payload has status/ok/duration_ms
-    "item_end",       # one batch item settled; payload has ok/duration_ms/
-                      # trace_id + the latency breakdown (feeds the SLO engine)
+    "item_end",       # one batch item settled, emitted by the batch runner in
+                      # the caller's process (never relayed); payload has
+                      # ok/duration_ms/trace_id + the latency breakdown
+                      # (feeds the SLO engine)
     "slo_breach",     # an SLO objective left its target; payload names it
     "budget_exhausted",  # an objective's error budget is fully spent
 })

@@ -4,9 +4,10 @@ An :class:`SLObjective` states what "healthy" means for batch serving —
 "p95 item latency stays under 500 ms", "99 % of items succeed" — and the
 :class:`SLOEngine` holds the pipeline to it while it runs.  The engine is
 an ordinary :class:`~repro.obs.events.EventBus` subscriber: it consumes
-the ``item_end`` events every settled batch item emits (including events
-relayed home from worker processes), keeps a sliding window of samples,
-and evaluates each objective with the standard error-budget machinery:
+the ``item_end`` event the batch runner emits, in the caller's process,
+for every settled item (whichever process ran it), keeps a sliding
+window of samples, and evaluates each objective with the standard
+error-budget machinery:
 
 * the **error budget** is the fraction of bad items the objective
   tolerates (``1 - target`` for a success-ratio objective, the implied

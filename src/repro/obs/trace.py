@@ -452,6 +452,10 @@ class Span:
         self.tags[key] = value
         return self
 
+    def elapsed_s(self) -> float:
+        """Seconds since the span opened, on the span clock; for open spans."""
+        return time.perf_counter() - self.start_s
+
     def __enter__(self) -> "Span":
         if self._collector is not None:
             stack = _stack.get()

@@ -27,6 +27,10 @@ For the process executor the division of labour is:
   event list) that the parent folds back with
   :func:`repro.obs.apply_telemetry` — counters add up, spans graft into
   the parent trace, events are relayed with their worker source tagged.
+  A worker computes outcomes only; it never settles them.  The relayed
+  events are therefore retry, degradation, sanitization and shard
+  events: each item's ``quarantine`` and ``item_end`` are emitted by the
+  parent as it folds the outcome in (:mod:`repro.serving.pool`).
 
 Start method: ``fork`` when the parent is single-threaded (cheapest, and
 the pool's worker processes are forked before its manager thread starts),
@@ -86,8 +90,8 @@ class ShardTask:
     ``shard_id`` is ``None`` for the serial case's single task: no
     shard events, no ``"shard"`` span, and ``None`` as quarantine
     provenance, exactly as a batch that was never sharded.  The fields
-    after ``admission_wait_s`` are only filled in for the process
-    executor.  Deliberately model-free: the trained state travels as an
+    after ``sleeper`` are only filled in for the process executor.
+    Deliberately model-free: the trained state travels as an
     artifact reference, not as pickled objects, so N tasks cost N small
     pickles plus one artifact load per worker process (the per-process
     cache in :mod:`repro.artifact` collapses repeats).
@@ -105,9 +109,6 @@ class ShardTask:
     retry: RetryPolicy
     deadline_s: float | None
     sleeper: Callable[[float], None]
-    #: Seconds the whole batch blocked in admission before sharding;
-    #: copied onto every item's latency breakdown.
-    admission_wait_s: float = 0.0
     artifact_path: str | None = None
     fingerprint: str | None = None
     fault_specs: tuple[FaultSpec, ...] = ()
@@ -181,9 +182,9 @@ def run_shard(
     bracketed by ``shard_start``/``shard_end`` events, tagged
     ``degraded=True`` on the breaker's in-parent path; its duration is
     the span's.  A serial task has no shard span and reports a zero
-    duration, which nothing reads.  *on_item* sees each outcome as it
-    settles (the live progress tally).  In ``strict`` mode the first item
-    error propagates.
+    duration, which nothing reads.  *on_item* receives each outcome as
+    soon as it is computed (the serial runner settles it there).  In
+    ``strict`` mode the first item error propagates, unsettled.
     """
     deadline = Deadline(task.deadline_s)
     sharded = task.shard_id is not None
@@ -202,7 +203,6 @@ def run_shard(
                 strict=task.strict, retry=task.retry,
                 deadline=deadline, sleeper=task.sleeper,
                 shard_id=task.shard_id, trace=task.traces[offset],
-                admission_wait_s=task.admission_wait_s,
             )
             outcomes.append(outcome)
             if on_item is not None:

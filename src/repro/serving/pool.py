@@ -4,10 +4,13 @@
 every call here.  The runner validates the options once, before
 admission (:func:`validate_pool_shape`, shared with
 :class:`~repro.server.ServerConfig`), then owns the batch in one place:
-the admission ticket, one :class:`~repro.obs.TraceContext` per item, the
-live progress tally, the ``summarize_many`` span, the
-``batch_start``/``batch_end`` events, and input-order reassembly
-(:func:`repro.serving.ordering.reassemble`).
+the admission ticket (an ``admission`` span), one
+:class:`~repro.obs.TraceContext` per item, the ``summarize_many`` span,
+the ``batch_start``/``batch_end`` events, input-order reassembly
+(:func:`repro.serving.ordering.reassemble`, a ``reassemble`` span), and
+settling each item once, in the caller's process, as its outcome
+arrives: batch counters, ``resilience.item.latency_ms``, the
+``quarantine`` and ``item_end`` events, then progress.
 
 Items run through the one shard loop,
 :func:`repro.serving.executor.run_shard`, one
@@ -49,6 +52,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigError
 from repro.obs import (
+    Span,
     apply_telemetry,
     emit_event,
     events,
@@ -105,37 +109,75 @@ def validate_pool_shape(
 
 
 class _ProgressBoard:
-    """Thread-safe live tallies behind the batch ``progress`` callback."""
+    """Settles each batch item in the caller, and keeps the live tallies.
+
+    :meth:`settle` is the runner's per-outcome callback on every path —
+    the serial loop, and the process ``fold`` of worker, degraded and
+    crash-quarantined shards — and the one place an item settles, so a
+    process batch's totals equal a serial run's.  Elapsed time is read
+    off the batch span.
+    """
 
     def __init__(
         self,
         total: int,
         progress: Callable[[BatchProgress], None] | None,
+        batch_span: Span,
+        admission_wait_s: float,
     ) -> None:
         self._lock = threading.Lock()
         self._total = total
         self._progress = progress
-        self._started = time.perf_counter()
+        self._batch_span = batch_span
+        self._admission_wait_s = admission_wait_s
         self.done = 0
         self.ok = 0
         self.quarantined = 0
         self.retries = 0
 
-    def note(self, outcome: ItemOutcome) -> None:
+    def settle(self, outcome: ItemOutcome) -> None:
+        """Publish one item: counters, latency, events, then progress."""
+        latency = outcome.latency
+        latency.admission_wait_s = self._admission_wait_s
+        entry = outcome.quarantine
+        duration_ms = latency.total_s * 1000.0
+        m = metrics()
+        m.counter("resilience.batch.items").inc()
+        m.counter(
+            "resilience.batch.ok" if entry is None
+            else "resilience.batch.quarantined"
+        ).inc()
+        m.histogram("resilience.item.latency_ms").observe(duration_ms)
+        if entry is not None:
+            emit_event(
+                "quarantine", trajectory_id=entry.trajectory_id,
+                index=entry.index, error_type=entry.error_type,
+                attempts=entry.attempts, error=entry.error,
+            )
+        if events_enabled():
+            # The breakdown payload is only built while events flow.
+            emit_event(
+                "item_end", trajectory_id=(
+                    outcome.summary.trajectory_id if entry is None
+                    else entry.trajectory_id
+                ),
+                index=outcome.index, ok=entry is None, duration_ms=duration_ms,
+                attempts=latency.attempts, trace_id=latency.trace_id,
+                breakdown=latency.to_dict(),
+            )
         with self._lock:
             self.done += 1
             self.retries += outcome.retries
-            if outcome.summary is not None:
+            if entry is None:
                 self.ok += 1
             else:
                 self.quarantined += 1
             done, ok, quarantined, retries = (
                 self.done, self.ok, self.quarantined, self.retries,
             )
-        elapsed = time.perf_counter() - self._started
+        elapsed = self._batch_span.elapsed_s()
         rate = done / elapsed if elapsed > 0.0 else 0.0
         eta = (self._total - done) / rate if rate > 0.0 else None
-        m = metrics()
         m.gauge("resilience.batch.items_per_s").set(rate)
         if eta is not None:
             m.gauge("resilience.batch.eta_s").set(eta)
@@ -185,9 +227,9 @@ def run_sharded(
     state as *stmaker* for parallel ≡ serial to hold; when ``None`` the
     model is auto-published with :func:`repro.artifact.ensure_artifact`).
     Worker telemetry arrives as merged metric deltas, grafted spans, and
-    relayed events — same totals as a serial run, but per-item events
-    surface when each shard completes rather than live, and relayed
-    events carry ``relay_*`` provenance keys.
+    relayed events (retry, degradation, sanitization and shard events,
+    with ``relay_*`` provenance keys) when each shard completes; every
+    item then settles here, in the caller, as on the serial path.
 
     Failure containment (``docs/ROBUSTNESS.md``): process shards always
     run supervised — worker death is retried, bisected, and at worst
@@ -219,9 +261,9 @@ def run_sharded(
     admission_wait_s = 0.0
     if admission is not None:
         # May raise OverloadError (shed="reject") — before any work starts.
-        admit_started = time.perf_counter()
-        ticket = admission.admit(len(items), tenant=tenant, priority=priority)
-        admission_wait_s = time.perf_counter() - admit_started
+        with span("admission", items=len(items)) as admission_span:
+            ticket = admission.admit(len(items), tenant=tenant, priority=priority)
+        admission_wait_s = admission_span.duration_ms / 1000.0
         if ticket.decision.k_override is not None:
             k = ticket.decision.k_override
     # Request identity is minted the moment the batch clears admission:
@@ -239,7 +281,6 @@ def run_sharded(
             k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
             strict=strict, retry=retry or RetryPolicy(),
             deadline_s=deadline_s, sleeper=sleeper,
-            admission_wait_s=admission_wait_s,
         )
         for shard in shards
     ]
@@ -261,9 +302,9 @@ def run_sharded(
         span_tags = {**shape, "executor": executor}
         end_tags = {"shards": len(shards)}
     emit_event("batch_start", items=len(items), k=k, **shape)
-    board = _ProgressBoard(len(items), progress)
     try:
         with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
+            board = _ProgressBoard(len(items), progress, sp, admission_wait_s)
             if sharded:
                 if breaker is True:
                     breaker = get_breaker("serving.process")
@@ -279,16 +320,16 @@ def run_sharded(
             else:
                 # Strict mode's first item error propagates straight out.
                 results = [
-                    run_shard(stmaker, task, on_item=board.note) for task in tasks
+                    run_shard(stmaker, task, on_item=board.settle)
+                    for task in tasks
                 ]
-            reassembly_started = time.perf_counter()
-            result = reassemble(
-                [outcome for sr in results for outcome in sr.outcomes], len(items)
-            )
-            reassembly_s = time.perf_counter() - reassembly_started
+            with span("reassemble", items=len(items)) as reassembly:
+                result = reassemble(
+                    [outcome for sr in results for outcome in sr.outcomes],
+                    len(items),
+                )
             for lat in result.latencies:
-                if lat is not None:
-                    lat.reassembly_s = reassembly_s
+                lat.reassembly_s = reassembly.duration_ms / 1000.0
             sp.set_tag("ok", result.ok_count)
             sp.set_tag("quarantined", result.quarantined_count)
     finally:
@@ -374,7 +415,7 @@ def _run_in_processes(
     def fold(sr: ShardResult) -> None:
         _publish_shard(sr, m, graft_parent_id)
         for outcome in sr.outcomes:
-            board.note(outcome)
+            board.settle(outcome)
         results.append(sr)
 
     supervise_process_shards(

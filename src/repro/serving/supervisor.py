@@ -29,7 +29,8 @@ bounded* event:
    single-item shard in ``log2(len(shard))`` rounds.  A single-item
    shard that still crashes is the proven poison: the supervisor
    synthesizes a quarantined outcome with a typed
-   :class:`~repro.exceptions.WorkerCrashError` and the batch moves on.
+   :class:`~repro.exceptions.WorkerCrashError`, folds it for the runner
+   to settle like any other, and the batch moves on.
 4. **Hang detection** — progress-based: when no in-flight shard
    completes within the hang window (``deadline_s`` + grace, or the
    policy's explicit ``hang_timeout_s``), the workers are killed and
@@ -361,34 +362,19 @@ def _raise_first_by_shard_order(
 def _synthesize_crash_result(unit: _Unit, message: str) -> ShardResult:
     """A quarantined :class:`ShardResult` for a proven-poison shard.
 
-    The worker that could have reported telemetry for these items died
-    with them, so the batch counters (``resilience.batch.items`` /
-    ``.quarantined``) and the ``quarantine`` event are recorded here,
-    parent-side — keeping the batch totals identical to a serial run
-    that quarantined the same items.  Each item settles through the
-    serial path's item-end publisher with ``total_s=0``.
+    The worker that could have timed these items died with them; what
+    survives is each item's request identity and how many times the
+    supervisor charged the shard, so each breakdown has ``total_s=0``.
+    The result is folded like any other: the runner settles every item
+    (batch counters, latency histogram, ``quarantine`` and ``item_end``
+    events), so the totals match a serial run that quarantined the same
+    items.
     """
-    from repro.core.summarizer import STMaker
-
-    m = metrics()
     outcomes = []
     for offset, (index, raw) in enumerate(zip(unit.task.indices, unit.task.items)):
-        m.counter("resilience.batch.items").inc()
-        m.counter("resilience.batch.quarantined").inc()
-        emit_event(
-            "quarantine", trajectory_id=raw.trajectory_id,
-            index=index, error_type="WorkerCrashError",
-            attempts=unit.attempts, error=message,
-        )
-        # The worker died with the item's timings; what survives is the
-        # request identity, the admission wait, and how many times the
-        # supervisor charged the shard.
         breakdown = LatencyBreakdown(
-            trace_id=unit.task.traces[offset].trace_id,
-            admission_wait_s=unit.task.admission_wait_s,
-            attempts=unit.attempts,
+            trace_id=unit.task.traces[offset].trace_id, attempts=unit.attempts,
         )
-        STMaker._note_item_end(m, raw.trajectory_id, index, False, breakdown)
         outcomes.append(ItemOutcome(index, None, QuarantineEntry(
             index, raw.trajectory_id, "WorkerCrashError", message,
             unit.attempts, shard_id=unit.task.shard_id, latency=breakdown,

@@ -85,12 +85,12 @@ class TestMergedTelemetry:
         # on the parent bus, provenance preserved in relay_* payload keys.
         for event in shard_ends:
             assert event.payload["relay_source"].startswith("shard-")
-        # Item-level pipeline events made the crossing too: one relayed
-        # item_end per trip.
+        # Items settle in the parent as each shard folds in: one item_end
+        # per trip, emitted locally, never relayed.
         item_ends = log.events("item_end")
         assert len(item_ends) == len(trips)
         for event in item_ends:
-            assert event.payload["relay_source"].startswith("shard-")
+            assert "relay_source" not in event.payload
         # Parent-side lifecycle events are emitted locally, not relayed.
         (batch_start,) = log.events("batch_start")
         assert "relay_source" not in batch_start.payload

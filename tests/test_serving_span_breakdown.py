@@ -6,7 +6,9 @@ name, heard through a span listener whether or not tracing is on;
 ``attempt`` spans.  With tracing on, the same spans land in the trace,
 so the two views must agree exactly — on the serial path and on the
 pool named by ``SERVING_TEST_EXECUTOR`` with ``SERVING_TEST_WORKERS``
-workers (CI matrix: thread/process × 1/4).
+workers (CI matrix: thread/process × 1/4).  The runner's own durations,
+admission wait and reassembly, are likewise read from its ``admission``
+and ``reassemble`` spans.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import trace_problems
 from repro.obs.metrics import MetricsRegistry
+from repro.serving import AdmissionPolicy
 
 WORKERS = int(os.environ.get("SERVING_TEST_WORKERS", "4"))
 EXECUTOR = os.environ.get("SERVING_TEST_EXECUTOR", "thread")
@@ -82,6 +86,32 @@ def test_breakdown_equals_item_span_subtree(scenario, trips, run, clean_obs):
     histogram = registry.histogram("summarize.latency_ms")
     assert histogram.count == len(trips)
     assert histogram.sum == pytest.approx(summarize_ms, rel=1e-9)
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+def test_runner_durations_are_its_spans(scenario, trips, run, clean_obs):
+    """Admission wait and reassembly are read off the runner's own spans.
+
+    Both are infrastructure spans: they sit outside every item's request,
+    carry no trace id, and leave each item's trace a well-formed tree.
+    """
+    collector = obs.enable_tracing()
+    batch = scenario.stmaker.summarize_many(
+        trips, admission=AdmissionPolicy(), **RUNS[run]
+    )
+    [admission] = collector.by_name("admission")
+    [reassemble] = collector.by_name("reassemble")
+    [batch_span] = collector.by_name("summarize_many")
+    assert reassemble.parent_id == batch_span.span_id
+    assert admission.trace_id is None and reassemble.trace_id is None
+    for latency in batch.latencies:
+        assert latency.admission_wait_s == pytest.approx(
+            admission.duration_ms / 1000.0, rel=1e-9
+        )
+        assert latency.reassembly_s == pytest.approx(
+            reassemble.duration_ms / 1000.0, rel=1e-9
+        )
+    assert trace_problems(collector.spans()) == []
 
 
 def test_sanitize_is_inside_the_item_total(scenario, trips):

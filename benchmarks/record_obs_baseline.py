@@ -64,11 +64,10 @@ def run(rounds: int, n_trips: int) -> dict:
         # with a flight recorder subscribed (ring appends on every event).
         obs.enable_tracing(max_spans=500_000)
         obs.enable_metrics()
-        obs.enable_flight_recorder(capacity=512)
+        obs.enable_events().subscribe(obs.FlightRecorder(capacity=512))
         try:
             return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
         finally:
-            obs.disable_flight_recorder()
             obs.disable_events()
             obs.disable_tracing()
             obs.disable_metrics()
@@ -82,15 +81,14 @@ def run(rounds: int, n_trips: int) -> dict:
         # price of leaving it enabled in serving.
         obs.enable_tracing(max_spans=500_000)
         obs.enable_metrics()
-        obs.enable_flight_recorder(capacity=512)
-        obs.enable_slo([
+        bus = obs.enable_events()
+        bus.subscribe(obs.FlightRecorder(capacity=512))
+        bus.subscribe(obs.SLOEngine([
             obs.SLObjective(name="latency", kind="latency_p95", threshold_ms=500.0),
-        ])
+        ], bus=bus))
         try:
             return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
         finally:
-            obs.disable_slo()
-            obs.disable_flight_recorder()
             obs.disable_events()
             obs.disable_tracing()
             obs.disable_metrics()

@@ -262,15 +262,33 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _simulate_trips(scenario, count: int, depart_hour, start: int = 0) -> list:
+    """*count* simulated trips with the distinct ids ``test-<n>``.
+
+    Trip *n* (numbered from *start*) departs at ``depart_hour(n)``
+    o'clock.  ``simulate_trip`` numbers every call from 0, so the ids are
+    set here; without them every trip of a batch would be ``test-0``.
+    """
+    trips = []
+    for n in range(start, start + count):
+        raw = scenario.simulate_trip(depart_time=depart_hour(n) * 3600.0).raw
+        raw.trajectory_id = f"test-{n}"
+        trips.append(raw)
+    return trips
+
+
+def _rotating_hour(n: int) -> float:
+    """Departure hours of the serving loops: 06:00 onwards in 15-minute
+    steps, wrapping after 16 hours."""
+    return 6.0 + (n % 64) * 0.25
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro import obs
 
     scenario = _build_scenario(args.seed, args.training)
     obs.mark_ready()  # model is warm; flip /readyz when --ops-port is up
-    trips = [
-        scenario.simulate_trip(depart_time=(8.0 + 0.2 * i) * 3600.0).raw
-        for i in range(args.trips)
-    ]
+    trips = _simulate_trips(scenario, args.trips, lambda n: 8.0 + 0.2 * n)
     # The report joins metrics and traces, so both sinks must be live even
     # when the user did not pass --trace/--metrics-out (main() enabled them
     # in that case; these calls then reuse the active sinks).
@@ -320,12 +338,9 @@ def _cmd_ops_serve(args: argparse.Namespace) -> int:
     batch = 0
     try:
         while args.duration is None or _time.monotonic() - started < args.duration:
-            trips = [
-                scenario.simulate_trip(
-                    depart_time=(6.0 + ((batch * args.trips + i) % 64) * 0.25) * 3600.0
-                ).raw
-                for i in range(args.trips)
-            ]
+            trips = _simulate_trips(
+                scenario, args.trips, _rotating_hour, start=batch * args.trips
+            )
             result = scenario.stmaker.summarize_many(
                 trips, k=args.k, workers=args.workers, executor=args.executor,
             )
@@ -381,13 +396,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     handles = []
     try:
         for batch in range(args.requests):
-            trips = [
-                scenario.simulate_trip(
-                    depart_time=(6.0 + ((batch * args.trips + i) % 64) * 0.25)
-                    * 3600.0
-                ).raw
-                for i in range(args.trips)
-            ]
+            trips = _simulate_trips(
+                scenario, args.trips, _rotating_hour, start=batch * args.trips
+            )
             handles.append(server.submit(
                 trips, tenant=tenants[batch % len(tenants)], k=args.k
             ))
@@ -769,6 +780,7 @@ def main(argv: list[str] | None = None) -> int:
         event_sink = obs.JsonlEventSink(events_out)
         obs.enable_events().subscribe(event_sink)
     slo_specs = getattr(args, "slo", None) or []
+    slo = None
     if slo_specs:
         try:
             objectives = [obs.parse_slo(spec) for spec in slo_specs]
@@ -776,19 +788,28 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         # Implies the event stream: objectives watch item_end events.
-        obs.enable_slo(objectives)
+        bus = obs.enable_events()
+        slo = bus.subscribe(obs.SLOEngine(objectives, bus=bus))
     flight_dir = getattr(args, "flight_dir", None)
-    if flight_dir is not None:
-        obs.enable_flight_recorder(dump_dir=flight_dir)
     ops_port = getattr(args, "ops_port", None)
     if ops_port is None and args.command in ("ops-serve", "serve"):
         ops_port = args.port
+    recorder = None
+    if flight_dir is not None:
+        recorder = obs.FlightRecorder(dump_dir=flight_dir)
+    elif ops_port is not None:
+        # Tail-only ring for /events: no triggers, no dumps.
+        recorder = obs.FlightRecorder(capacity=1024, trigger_kinds=frozenset())
+    if recorder is not None:
+        obs.enable_events().subscribe(recorder)
     ops_server = None
     if ops_port is not None:
-        # /metrics and /status need live sinks to be worth scraping.
+        # /metrics and /status need live sinks to be worth scraping (the
+        # recorder above already turned the event stream on).
         obs.enable_metrics()
-        obs.enable_events()
-        ops_server = obs.start_ops_server(port=ops_port)
+        ops_server = obs.start_ops_server(
+            port=ops_port, recorder=recorder, slo=slo
+        )
         logger.info("ops surface listening on %s", ops_server.url)
     profile_cm = (
         obs.profiled(limit=25)
@@ -846,9 +867,8 @@ def main(argv: list[str] | None = None) -> int:
             logger.info(
                 "%d events written to %s", event_sink.written, events_out
             )
-        engine = obs.slo_engine()
-        if engine is not None:
-            for entry in engine.snapshot()["objectives"]:
+        if slo is not None:
+            for entry in slo.snapshot()["objectives"]:
                 breaches = entry.get("breaches", 0)
                 if breaches:
                     print(
@@ -856,17 +876,14 @@ def main(argv: list[str] | None = None) -> int:
                         f"breached {breaches} time(s)",
                         file=sys.stderr,
                     )
-        obs.disable_slo()
         if ops_server is not None:
             obs.stop_ops_server()
-        if flight_dir is not None:
-            recorder = obs.flight_recorder()
-            if recorder is not None and recorder.dump_paths:
-                logger.info(
-                    "%d flight recorder dump(s) in %s",
-                    len(recorder.dump_paths), flight_dir,
-                )
-            obs.disable_flight_recorder()
+        if flight_dir is not None and recorder.dump_paths:
+            logger.info(
+                "%d flight recorder dump(s) in %s",
+                len(recorder.dump_paths), flight_dir,
+            )
+        # Dropping the bus detaches every sink subscribed to it.
         obs.disable_events()
         obs.disable_tracing()
         obs.disable_metrics()

@@ -19,11 +19,6 @@ See ``docs/OBSERVABILITY.md`` for the span/metric naming conventions and
 the catalogue the pipeline emits.
 """
 
-from repro.obs.aggregate import (
-    TelemetrySnapshot,
-    apply_telemetry,
-    capture_telemetry,
-)
 from repro.obs.analyze import (
     critical_path,
     group_traces,
@@ -56,13 +51,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_prometheus,
 )
-from repro.obs.flight import (
-    DEFAULT_TRIGGER_KINDS,
-    FlightRecorder,
-    disable_flight_recorder,
-    enable_flight_recorder,
-    flight_recorder,
-)
+from repro.obs.flight import DEFAULT_TRIGGER_KINDS, FlightRecorder
 from repro.obs.logconfig import configure_logging
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -91,15 +80,7 @@ from repro.obs.server import (
     stop_ops_server,
     unregister_status_section,
 )
-from repro.obs.slo import (
-    SLO_KINDS,
-    SLObjective,
-    SLOEngine,
-    disable_slo,
-    enable_slo,
-    parse_slo,
-    slo_engine,
-)
+from repro.obs.slo import SLO_KINDS, SLObjective, SLOEngine, parse_slo
 from repro.obs.trace import (
     Span,
     SpanRecord,
@@ -162,16 +143,9 @@ __all__ = [
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    # cross-process aggregation
-    "TelemetrySnapshot",
-    "capture_telemetry",
-    "apply_telemetry",
     # flight recorder
     "FlightRecorder",
     "DEFAULT_TRIGGER_KINDS",
-    "flight_recorder",
-    "enable_flight_recorder",
-    "disable_flight_recorder",
     # ops server
     "OpsServer",
     "PROMETHEUS_CONTENT_TYPE",
@@ -206,9 +180,6 @@ __all__ = [
     "SLO_KINDS",
     "SLObjective",
     "SLOEngine",
-    "enable_slo",
-    "disable_slo",
-    "slo_engine",
     "parse_slo",
     # run reports
     "RunReport",

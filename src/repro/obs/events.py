@@ -29,7 +29,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: The closed vocabulary of event kinds the pipeline emits.
 EVENT_KINDS: frozenset[str] = frozenset({
@@ -86,7 +86,7 @@ class PipelineEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "PipelineEvent":
-        """Rebuild an event serialized by :meth:`to_dict` (worker relays)."""
+        """Rebuild an event serialized by :meth:`to_dict` (artifact readers)."""
         return cls(
             seq=int(data["seq"]),  # type: ignore[arg-type]
             ts_s=float(data["ts_s"]),  # type: ignore[arg-type]
@@ -175,25 +175,22 @@ class EventBus:
                 metrics().counter("obs.events.subscriber_errors").inc()
 
     def relay(
-        self, events, *, source: str | None = None
+        self, events: Iterable[PipelineEvent], *, source: str | None = None
     ) -> list[PipelineEvent]:
         """Re-emit events recorded on another bus (the relay contract).
 
         The event half of the cross-process telemetry contract: a worker
-        ships ``[event.to_dict() for event in log]`` and the parent folds
-        them onto its own bus here.  Each event is **re-sequenced** on
-        this bus (its original ``seq``/``ts_s`` come from another process'
-        timeline and are preserved in the payload as ``relay_seq`` /
-        ``relay_ts_s``); *source* tags the payload as ``relay_source`` so
-        consumers can tell worker streams apart.  Unknown kinds raise, as
+        ships its :class:`PipelineEvent` s home (by pickle, inside its
+        shard result) and the parent folds them onto its own bus here.
+        Each event is **re-sequenced** on this bus (its original
+        ``seq``/``ts_s`` come from another process' timeline and are
+        preserved in the payload as ``relay_seq`` / ``relay_ts_s``);
+        *source* tags the payload as ``relay_source`` so consumers can
+        tell worker streams apart.  Unknown kinds raise, as
         in :meth:`emit` — relaying cannot fork the closed vocabulary.
         """
         out: list[PipelineEvent] = []
-        for data in events:
-            incoming = (
-                data if isinstance(data, PipelineEvent)
-                else PipelineEvent.from_dict(data)
-            )
+        for incoming in events:
             if incoming.kind not in EVENT_KINDS:
                 raise ValueError(
                     f"unknown event kind {incoming.kind!r}; expected one of "

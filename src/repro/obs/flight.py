@@ -14,17 +14,21 @@ moved on.
 
 Designed to be **always on**: the per-event cost is one lock + one deque
 append, and the expensive part (serializing a capture) only runs on the
-failure path.  ``BENCH_obs.json`` records the measured overhead of running
-with the recorder enabled (< 5 % on the Fig. 12 workload).
+failure path.  ``BENCH_obs.json`` records an overhead under 5 % for
+running with the recorder subscribed, but that was measured at
+15.5 ms per item, before map matching halved the item cost, and has not
+been re-measured since; the fixed per-event cost is now a larger share.
 
-::
+Like every sink, the recorder attaches to the bus with a plain
+``subscribe``::
 
     from repro import obs
 
-    recorder = obs.enable_flight_recorder(dump_dir="flight/")
+    recorder = obs.FlightRecorder(dump_dir="flight/")
+    obs.enable_events().subscribe(recorder)
     stmaker.summarize_many(trips)          # failures dump themselves
     print(recorder.captures[-1]["trigger"])
-    obs.disable_flight_recorder()
+    obs.events().unsubscribe(recorder)
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import threading
 import time
 from collections import deque
 
-from repro.obs.events import PipelineEvent, enable_events, events
+from repro.obs.events import PipelineEvent
 from repro.obs.trace import get_collector
 
 logger = logging.getLogger("repro.obs.flight")
@@ -47,6 +51,12 @@ logger = logging.getLogger("repro.obs.flight")
 DEFAULT_TRIGGER_KINDS: frozenset[str] = frozenset({
     "quarantine", "degradation", "slo_breach",
 })
+
+#: Finished spans frozen into each capture (the most recent ones).
+SPAN_TAIL = 64
+
+#: Captures kept in memory; dumps on disk are bounded by ``max_dumps``.
+MAX_CAPTURES = 32
 
 _UNSAFE_FILENAME = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -59,8 +69,7 @@ def _safe_slug(text: str, fallback: str = "event") -> str:
 class FlightRecorder:
     """A bounded ring of recent events that snapshots itself on failure.
 
-    Subscribe it to an :class:`~repro.obs.events.EventBus` (or use
-    :func:`enable_flight_recorder`, which wires the active bus).  Thread
+    Subscribe it to an :class:`~repro.obs.events.EventBus`.  Thread
     safety: the ring and capture list are lock-guarded; captures taken
     from concurrent worker threads serialize against each other but not
     against the pipeline.
@@ -72,8 +81,6 @@ class FlightRecorder:
         *,
         dump_dir=None,
         trigger_kinds: frozenset[str] | set[str] = DEFAULT_TRIGGER_KINDS,
-        span_tail: int = 64,
-        max_captures: int = 32,
         max_dumps: int = 100,
     ) -> None:
         if capacity < 1:
@@ -81,12 +88,11 @@ class FlightRecorder:
         self.capacity = capacity
         self.dump_dir = dump_dir
         self.trigger_kinds = frozenset(trigger_kinds)
-        self.span_tail = span_tail
         self.max_dumps = max_dumps
         self._lock = threading.Lock()
         self._ring: deque[PipelineEvent] = deque(maxlen=capacity)
-        #: Most recent captures, oldest first (bounded by ``max_captures``).
-        self.captures: deque[dict[str, object]] = deque(maxlen=max_captures)
+        #: Most recent captures, oldest first (bounded by ``MAX_CAPTURES``).
+        self.captures: deque[dict[str, object]] = deque(maxlen=MAX_CAPTURES)
         #: Paths of the JSONL dumps written so far, in order.
         self.dump_paths: list[str] = []
         #: Captures skipped because ``max_dumps`` was reached.
@@ -149,7 +155,7 @@ class FlightRecorder:
         spans: list[dict[str, object]] = []
         collector = get_collector()
         if collector is not None:
-            spans = [record.to_dict() for record in collector.spans()[-self.span_tail:]]
+            spans = [record.to_dict() for record in collector.spans()[-SPAN_TAIL:]]
         capture = {
             "capture": seq,
             "captured_unix": time.time(),
@@ -196,43 +202,3 @@ class FlightRecorder:
         with self._lock:
             self.dump_paths.append(path)
         logger.info("flight recorder dump written to %s", path)
-
-
-_active: FlightRecorder | None = None
-
-
-def flight_recorder() -> FlightRecorder | None:
-    """The active recorder, or ``None`` while disabled."""
-    return _active
-
-
-def enable_flight_recorder(
-    recorder: FlightRecorder | None = None, **kwargs
-) -> FlightRecorder:
-    """Install *recorder* (or build one from *kwargs*) on the active bus.
-
-    Enables the event stream if it is not already on — the recorder is an
-    event subscriber, there is nothing to record without the bus.
-    Idempotent for the active recorder.
-    """
-    global _active
-    bus = enable_events()
-    if recorder is None:
-        recorder = _active if _active is not None and not kwargs else FlightRecorder(**kwargs)
-    if _active is not None and _active is not recorder:
-        bus.unsubscribe(_active)
-    bus.unsubscribe(recorder)  # re-subscribing must not double-deliver
-    bus.subscribe(recorder)
-    _active = recorder
-    return recorder
-
-
-def disable_flight_recorder() -> None:
-    """Unsubscribe and drop the active recorder (the bus stays as-is)."""
-    global _active
-    if _active is None:
-        return
-    bus = events()
-    if bus is not None:
-        bus.unsubscribe(_active)
-    _active = None

@@ -454,7 +454,7 @@ _BREAKER_STATES = ("closed", "half_open", "open")
 #: they occur in an item's life.
 _LATENCY_PHASES = (
     "admission_wait_s", "queue_wait_s", "exec_s",
-    "backoff_s", "reassembly_s", "total_s",
+    "backoff_s", "total_s",
 )
 
 

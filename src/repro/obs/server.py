@@ -13,7 +13,8 @@ background daemon thread exposing:
                   (:func:`mark_ready` / ``OpsServer.set_ready``)
 ``GET /status``   a JSON :class:`~repro.obs.report.RunReport` snapshot
                   of the run so far, plus uptime/readiness
-``GET /events``   the recent event tail (``?n=`` limits the count)
+``GET /events``   the recent event tail (``?n=`` limits the count) of
+                  the flight recorder passed in
 =============== =====================================================
 
 Zero dependencies, loopback by default, one thread per in-flight request
@@ -32,13 +33,12 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.events import enable_events
 from repro.obs.export import render_prometheus
-from repro.obs.flight import FlightRecorder, flight_recorder
-from repro.obs.metrics import MetricsRegistry, metrics
+from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import metrics
 from repro.obs.report import build_run_report
-from repro.obs.slo import slo_engine
-from repro.obs.trace import TraceCollector, get_collector
+from repro.obs.slo import SLOEngine
+from repro.obs.trace import get_collector
 
 logger = logging.getLogger("repro.obs.server")
 
@@ -79,7 +79,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
         url = urlparse(self.path)
         try:
             if url.path == "/metrics":
-                text = render_prometheus(ops.registry_now())
+                text = render_prometheus(metrics())
                 self._send(200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
             elif url.path == "/healthz":
                 self._send_json(200, {"status": "ok", "uptime_s": ops.uptime_s})
@@ -127,11 +127,12 @@ class _OpsHandler(BaseHTTPRequestHandler):
 class OpsServer:
     """The background ops endpoint; use via :func:`start_ops_server`.
 
-    ``registry``/``collector`` pin the sinks the endpoints read; when left
-    ``None`` each request resolves the *currently active* sinks, so a
-    server started before ``enable_metrics()`` still serves live data.
-    ``recorder`` backs ``/events``; without one the server subscribes its
-    own tail-only :class:`~repro.obs.flight.FlightRecorder` to the bus.
+    Each request reads the *currently active* metrics registry and trace
+    collector, so a server started before ``enable_metrics()`` still
+    serves live data.  The two sinks it reads beyond those are passed in,
+    already subscribed to the bus by whoever built them: *recorder* backs
+    ``/events`` (an empty tail without one) and *slo* adds the ``slo``
+    block to ``/status``.
     """
 
     def __init__(
@@ -139,28 +140,14 @@ class OpsServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        registry: MetricsRegistry | None = None,
-        collector: TraceCollector | None = None,
         recorder: FlightRecorder | None = None,
+        slo: SLOEngine | None = None,
         ready: bool = False,
-        ready_check=None,
-        tail_capacity: int = 1024,
     ) -> None:
-        self._registry = registry
-        self._collector = collector
+        self._recorder = recorder
+        self._slo = slo
         self._ready = ready
-        self._ready_check = ready_check
         self._started = time.monotonic()
-        self._owns_recorder = recorder is None and flight_recorder() is None
-        if recorder is not None:
-            self._recorder = recorder
-        elif flight_recorder() is not None:
-            self._recorder = flight_recorder()
-        else:
-            # Tail-only ring: no triggers, no dumps — just /events fodder.
-            self._recorder = FlightRecorder(
-                capacity=tail_capacity, trigger_kinds=frozenset()
-            )
         self._httpd = _OpsHTTPServer((host, port), _OpsHandler)
         self._httpd.ops = self
         self._thread = threading.Thread(
@@ -173,10 +160,6 @@ class OpsServer:
     # -- lifecycle --------------------------------------------------------------
 
     def start(self) -> "OpsServer":
-        if self._owns_recorder:
-            # /events needs a ring on the bus; shared recorders (an
-            # explicit one, or the active flight recorder) already listen.
-            enable_events().subscribe(self._recorder)
         self._started = time.monotonic()
         self._thread.start()
         logger.info("ops server listening on %s", self.url)
@@ -190,12 +173,6 @@ class OpsServer:
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(timeout=5.0)
-        if self._owns_recorder:
-            from repro.obs.events import events
-
-            bus = events()
-            if bus is not None:
-                bus.unsubscribe(self._recorder)
         logger.info("ops server on port %d stopped", self.port)
 
     def __enter__(self) -> "OpsServer":
@@ -228,30 +205,20 @@ class OpsServer:
         self._ready = ready
 
     def is_ready(self) -> bool:
-        if self._ready_check is not None:
-            return bool(self._ready_check())
         return self._ready
 
     # -- endpoint backends --------------------------------------------------------
 
-    def registry_now(self):
-        return self._registry if self._registry is not None else metrics()
-
-    def collector_now(self):
-        return self._collector if self._collector is not None else get_collector()
-
     def event_tail(self, n: int | None = None):
-        return self._recorder.tail(n)
+        return [] if self._recorder is None else self._recorder.tail(n)
 
     @property
     def events_seen(self) -> int:
-        return self._recorder.events_seen
+        return 0 if self._recorder is None else self._recorder.events_seen
 
     def status(self) -> dict[str, object]:
         """The ``/status`` payload: a mid-run RunReport snapshot + liveness."""
-        report = build_run_report(
-            registry=self.registry_now(), collector=self.collector_now()
-        )
+        report = build_run_report(registry=metrics(), collector=get_collector())
         payload = report.to_dict()
         payload["ops"] = {
             "ready": self.is_ready(),
@@ -259,9 +226,8 @@ class OpsServer:
             "events_seen": self.events_seen,
             "url": self.url,
         }
-        engine = slo_engine()
-        if engine is not None:
-            payload["slo"] = engine.snapshot()
+        if self._slo is not None:
+            payload["slo"] = self._slo.snapshot()
         for name, provider in status_sections().items():
             try:
                 payload[name] = provider()
@@ -318,20 +284,26 @@ def active_ops_server() -> OpsServer | None:
 
 
 def start_ops_server(
-    port: int = 0, host: str = "127.0.0.1", **kwargs
+    port: int = 0,
+    host: str = "127.0.0.1",
+    *,
+    recorder: FlightRecorder | None = None,
+    slo: SLOEngine | None = None,
+    ready: bool = False,
 ) -> OpsServer:
     """Start the ops endpoint on a background thread and return it.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.port``).  Only one process-wide server is tracked: starting a
-    second stops the first.  Accepts the :class:`OpsServer` keyword
-    arguments (``registry``, ``collector``, ``recorder``, ``ready``,
-    ``ready_check``).
+    second stops the first.  *recorder*, *slo* and *ready* are passed to
+    :class:`OpsServer`.
     """
     global _active
     if _active is not None:
         _active.stop()
-    _active = OpsServer(host, port, **kwargs).start()
+    _active = OpsServer(
+        host, port, recorder=recorder, slo=slo, ready=ready
+    ).start()
     return _active
 
 

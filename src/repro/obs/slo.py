@@ -31,15 +31,16 @@ under ``/status``.
 ::
 
     from repro import obs
-    from repro.obs.slo import SLObjective, enable_slo
+    from repro.obs.slo import SLObjective, SLOEngine
 
-    engine = enable_slo([
+    bus = obs.enable_events()
+    engine = bus.subscribe(SLOEngine([
         SLObjective(name="latency", kind="latency_p95", threshold_ms=500.0),
         SLObjective(name="success", kind="success_ratio", target=0.99),
-    ])
+    ], bus=bus))
     stmaker.summarize_many(trips, workers=4)
     print(engine.snapshot())
-    obs.disable_slo()
+    bus.unsubscribe(engine)
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigError
-from repro.obs.events import EventBus, PipelineEvent, enable_events, events
+from repro.obs.events import EventBus, PipelineEvent, events
 from repro.obs.metrics import clamped_p95, metrics
 
 #: Objective kinds the engine can evaluate.
@@ -234,10 +235,11 @@ class _ObjectiveState:
 class SLOEngine:
     """Evaluates :class:`SLObjective` s over the live ``item_end`` stream.
 
-    Subscribe it to a bus (or use :func:`enable_slo`).  Thread-safe: item
-    events arrive from whatever thread settled the item; transition
-    events are emitted after the internal lock is released, so the engine
-    can safely publish onto the same bus it subscribes to.
+    Subscribe it to a bus; *bus* is where its transition events go (the
+    active bus when ``None``).  Thread-safe: item events arrive from
+    whatever thread settled the item; transition events are emitted after
+    the internal lock is released, so the engine can safely publish onto
+    the same bus it subscribes to.
     """
 
     def __init__(
@@ -396,43 +398,3 @@ class SLOEngine:
                 "objectives": [dict(state.last) for state in self._states],
                 "samples": len(self._samples),
             }
-
-
-_active: SLOEngine | None = None
-
-
-def slo_engine() -> SLOEngine | None:
-    """The engine installed by :func:`enable_slo`, if any."""
-    return _active
-
-
-def enable_slo(
-    objectives: Sequence[SLObjective] | SLOEngine,
-) -> SLOEngine:
-    """Subscribe an engine for *objectives* to the (enabled) event bus.
-
-    Implies :func:`~repro.obs.events.enable_events` — objectives are
-    evaluated over ``item_end`` events, so the stream must flow.  Only
-    one process-wide engine is tracked; enabling another replaces it.
-    """
-    global _active
-    bus = enable_events()
-    engine = (
-        objectives if isinstance(objectives, SLOEngine)
-        else SLOEngine(objectives, bus=bus)
-    )
-    if _active is not None:
-        bus.unsubscribe(_active)
-    bus.subscribe(engine)
-    _active = engine
-    return engine
-
-
-def disable_slo() -> None:
-    """Unsubscribe and drop the tracked engine (no-op when none)."""
-    global _active
-    if _active is not None:
-        bus = events()
-        if bus is not None:
-            bus.unsubscribe(_active)
-        _active = None

@@ -47,8 +47,8 @@ import os
 import threading
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 #: Paired wall/monotonic anchor taken at import: ``perf_counter`` spans
 #: are mapped onto the unix timeline via ``_ANCHOR_UNIX + (t - _ANCHOR_PERF)``.
@@ -107,7 +107,7 @@ class SpanRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SpanRecord":
-        """Rebuild a record serialized by :meth:`to_dict` (worker relays)."""
+        """Rebuild a record serialized by :meth:`to_dict` (artifact readers)."""
         return cls(
             span_id=int(data["span_id"]),  # type: ignore[arg-type]
             parent_id=(
@@ -156,21 +156,6 @@ class TraceContext:
 
     trace_id: str | None
     anchor_unix_s: float = 0.0
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "trace_id": self.trace_id,
-            "anchor_unix_s": self.anchor_unix_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "TraceContext":
-        return cls(
-            trace_id=(
-                None if data.get("trace_id") is None else str(data["trace_id"])
-            ),
-            anchor_unix_s=float(data.get("anchor_unix_s", 0.0)),  # type: ignore[arg-type]
-        )
 
 
 #: The active request context.  Like the span stack, a ``ContextVar`` so a
@@ -279,16 +264,18 @@ class TraceCollector:
         with self._lock:
             return list(self._spans)
 
-    def add_batch(self, records, *, graft_parent_id: int | None = None) -> int:
+    def add_batch(
+        self, records: Iterable[SpanRecord], *, graft_parent_id: int | None = None
+    ) -> int:
         """Merge a batch of spans from another collector into this one.
 
         The span half of the cross-process telemetry contract: a worker
-        ships ``collector.to_dicts()`` (or the records themselves) and the
-        parent folds them in here.  Span ids are **reassigned** from this
-        collector's sequence so batches from many workers never collide;
-        parent links *within* the batch are remapped to the new ids, while
-        parents outside the batch (a worker-side root that was not
-        shipped) become ``None``.  ``trace_id`` s pass through untouched —
+        ships its :class:`SpanRecord` s home (by pickle, inside its shard
+        result) and the parent folds them in here.  Span ids are
+        **reassigned** from this collector's sequence so batches from many
+        workers never collide; parent links *within* the batch are
+        remapped to the new ids, while parents outside the batch (a
+        worker-side root that was not shipped) become ``None``.  ``trace_id`` s pass through untouched —
         request identity is process-independent by construction.
 
         *graft_parent_id* joins the shipped fragment to a live span of
@@ -300,10 +287,7 @@ class TraceCollector:
         well-formed.  Returns how many spans were added; the ``max_spans``
         cap applies and drops are counted as usual.
         """
-        batch = [
-            record if isinstance(record, SpanRecord) else SpanRecord.from_dict(record)
-            for record in records
-        ]
+        batch = list(records)
         id_map: dict[int, int] = {}
         added = 0
         for record in batch:
@@ -315,19 +299,9 @@ class TraceCollector:
                 parent_id = graft_parent_id
             else:
                 parent_id = None
-            remapped = SpanRecord(
-                span_id=id_map[record.span_id],
-                parent_id=parent_id,
-                name=record.name,
-                start_s=record.start_s,
-                duration_ms=record.duration_ms,
-                status=record.status,
-                error=record.error,
-                depth=record.depth,
+            remapped = replace(
+                record, span_id=id_map[record.span_id], parent_id=parent_id,
                 tags=dict(record.tags),
-                thread_id=record.thread_id,
-                trace_id=record.trace_id,
-                start_unix_s=record.start_unix_s,
             )
             with self._lock:
                 if self.max_spans is not None and len(self._spans) >= self.max_spans:

@@ -31,8 +31,9 @@ class LatencyBreakdown:
     :meth:`~repro.serving.AdmissionPolicy.admit` before the batch
     started), *queue wait* (admitted but not yet picked up by a
     worker or the serial run), *exec* (inside summarization attempts),
-    *backoff* (sleeping between transient retries), and *reassembly*
-    (input-order rebuild after the pool drained — a per-batch constant).
+    and *backoff* (sleeping between transient retries).  The batch's
+    input-order reassembly is a per-batch constant that runs after every
+    item settled; it is the runner's ``reassemble`` span, not a phase here.
     ``stages_s`` is the item span's subtree summed per span name, heard
     through a :class:`~repro.obs.span_listener` whether or not tracing
     is on; ``exec_s`` is its ``attempt`` entry and ``total_s`` the
@@ -47,7 +48,6 @@ class LatencyBreakdown:
     attempts: int = 0
     exec_s: float = 0.0
     backoff_s: float = 0.0
-    reassembly_s: float = 0.0
     #: The ``item`` span's seconds, pickup to settled outcome: sanitize,
     #: exec and backoff.
     total_s: float = 0.0
@@ -68,13 +68,14 @@ class LatencyBreakdown:
             "attempts": self.attempts,
             "exec_s": self.exec_s,
             "backoff_s": self.backoff_s,
-            "reassembly_s": self.reassembly_s,
             "total_s": self.total_s,
             "stages_s": dict(self.stages_s),
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "LatencyBreakdown":
+        """Inverse of :meth:`to_dict`; keys it does not know (the
+        ``reassembly_s`` of older event files) are ignored."""
         return cls(
             trace_id=(
                 None if data.get("trace_id") is None else str(data["trace_id"])
@@ -84,7 +85,6 @@ class LatencyBreakdown:
             attempts=int(data.get("attempts", 0)),  # type: ignore[arg-type]
             exec_s=float(data.get("exec_s", 0.0)),  # type: ignore[arg-type]
             backoff_s=float(data.get("backoff_s", 0.0)),  # type: ignore[arg-type]
-            reassembly_s=float(data.get("reassembly_s", 0.0)),  # type: ignore[arg-type]
             total_s=float(data.get("total_s", 0.0)),  # type: ignore[arg-type]
             stages_s=dict(data.get("stages_s") or {}),  # type: ignore[arg-type]
         )

@@ -18,7 +18,7 @@ without changing semantics:
   :class:`~concurrent.futures.ProcessPoolExecutor` workers carrying a
   city-model **artifact reference** (:mod:`repro.artifact`) instead of
   the model itself, and come back as :class:`ShardResult` s carrying
-  their telemetry snapshot;
+  the worker's metrics snapshot, span records and events;
 * :mod:`~repro.serving.supervisor` — crash containment for the process
   backend: worker death is retried, bisected down to the poison item,
   and quarantined with a typed

@@ -22,11 +22,14 @@ For the process executor the division of labour is:
   (an inherited JSONL sink would double-write the parent's file),
   installs fresh sinks, rebuilds the STMaker once per process via
   :func:`repro.artifact.cached_stmaker`, and runs :func:`run_shard`;
-* the worker returns a :class:`ShardResult`: the outcomes plus a
-  :class:`~repro.obs.TelemetrySnapshot` (metrics delta, span batch,
-  event list) that the parent folds back with
-  :func:`repro.obs.apply_telemetry` — counters add up, spans graft into
-  the parent trace, events are relayed with their worker source tagged.
+* the worker returns a :class:`ShardResult`: the outcomes plus its
+  telemetry as records — a metrics snapshot (a delta from zero), its
+  :class:`~repro.obs.SpanRecord` s and its
+  :class:`~repro.obs.PipelineEvent` s, all crossing the boundary by
+  pickle — which the parent folds back (:mod:`repro.serving.pool`):
+  counters add up with ``merge_snapshot``, spans graft into the parent
+  trace with ``add_batch``, events are relayed with their worker source
+  tagged.
   A worker computes outcomes only; it never settles them.  The relayed
   events are therefore retry, degradation, sanitization and shard
   events: each item's ``quarantine`` and ``item_end`` are emitted by the
@@ -58,10 +61,11 @@ from repro.features import default_registry
 from repro.obs import (
     EventLog,
     MetricsRegistry,
-    TelemetrySnapshot,
+    MetricsSnapshot,
+    PipelineEvent,
+    SpanRecord,
     TraceCollector,
     TraceContext,
-    capture_telemetry,
     clear_span_context,
     disable_events,
     disable_metrics,
@@ -120,7 +124,12 @@ class ShardTask:
 
 @dataclass(frozen=True, slots=True)
 class ShardResult:
-    """One served shard: ordered outcomes plus the worker's telemetry."""
+    """One served shard: ordered outcomes plus the worker's telemetry.
+
+    The last three fields are filled in only by a process worker, each
+    only when the parent has that sink enabled: the worker registry's
+    snapshot, and the span records and events it recorded.
+    """
 
     shard_id: int | None
     outcomes: tuple[ItemOutcome, ...]
@@ -128,7 +137,9 @@ class ShardResult:
     quarantined: int
     duration_ms: float
     items_per_s: float
-    telemetry: TelemetrySnapshot | None = None
+    metrics: MetricsSnapshot | None = None
+    spans: tuple[SpanRecord, ...] = ()
+    events: tuple[PipelineEvent, ...] = ()
 
 
 def _default_feature_keys() -> frozenset[str]:
@@ -245,11 +256,12 @@ def run_shard_in_process(task: ShardTask) -> ShardResult:
     """Worker-process entry point: serve one shard against the artifact.
 
     Wraps :func:`run_shard` in fresh obs sinks whose contents ship home
-    as the result's telemetry snapshot, so the parent's merged totals
-    match a serial run.  The worker's ``"shard"`` span deliberately
-    has no parent and no trace id: it is process-local infrastructure
-    that the parent grafts under the live batch span, while per-item
-    spans carry their item's :class:`~repro.obs.TraceContext`.
+    in the result's ``metrics``, ``spans`` and ``events`` fields, so the
+    parent's merged totals match a serial run.  The worker's ``"shard"``
+    span deliberately has no parent and no trace id: it is process-local
+    infrastructure that the parent grafts under the live batch span,
+    while per-item spans carry their item's
+    :class:`~repro.obs.TraceContext`.
     """
     from repro.artifact import cached_stmaker
 
@@ -269,13 +281,12 @@ def run_shard_in_process(task: ShardTask) -> ShardResult:
             stmaker.fault_injector = FaultInjector(
                 task.fault_specs, seed=task.fault_seed
             )
-        result = run_shard(stmaker, task)
-        if registry is None and collector is None and log is None:
-            return result
-        return dataclasses.replace(result, telemetry=capture_telemetry(
-            registry=registry, collector=collector, events=log,
-            source=f"shard-{task.shard_id}",
-        ))
+        return dataclasses.replace(
+            run_shard(stmaker, task),
+            metrics=None if registry is None else registry.snapshot(),
+            spans=() if collector is None else tuple(collector.spans()),
+            events=() if log is None else tuple(log),
+        )
     finally:
         _reset_inherited_obs()
 

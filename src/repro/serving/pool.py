@@ -33,8 +33,9 @@ process boundary does:
   deadline of the full budget (a slow shard cannot starve its
   siblings).  Workers rebuild the model from a versioned **city-model
   artifact** (:mod:`repro.artifact`; auto-published to a temp file when
-  no ``artifact=`` path is given) and ship their telemetry home as a
-  :class:`~repro.obs.TelemetrySnapshot` that the parent merges.  Each
+  no ``artifact=`` path is given) and ship their telemetry home as
+  records inside each :class:`~repro.serving.ShardResult` (metrics
+  snapshot, span records, events) that the parent folds in.  Each
   shard is bracketed by ``shard_start``/``shard_end`` events and
   mirrored into ``serving.shard.<id>.*`` gauges (the run report's
   per-shard breakdown), which a sharded batch clears when it starts.
@@ -53,7 +54,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.exceptions import ConfigError
 from repro.obs import (
     Span,
-    apply_telemetry,
     emit_event,
     events,
     events_enabled,
@@ -201,7 +201,7 @@ def run_sharded(
     deadline_s: float | None = None,
     sleeper: Callable[[float], None] = time.sleep,
     progress: Callable[[BatchProgress], None] | None = None,
-    workers: int = 2,
+    workers: int = 1,
     shard_size: int | None = None,
     executor: str = "thread",
     artifact: str | None = None,
@@ -323,13 +323,11 @@ def run_sharded(
                     run_shard(stmaker, task, on_item=board.settle)
                     for task in tasks
                 ]
-            with span("reassemble", items=len(items)) as reassembly:
+            with span("reassemble", items=len(items)):
                 result = reassemble(
                     [outcome for sr in results for outcome in sr.outcomes],
                     len(items),
                 )
-            for lat in result.latencies:
-                lat.reassembly_s = reassembly.duration_ms / 1000.0
             sp.set_tag("ok", result.ok_count)
             sp.set_tag("quarantined", result.quarantined_count)
     finally:
@@ -346,21 +344,23 @@ def run_sharded(
 def _publish_shard(sr: ShardResult, m, graft_parent_id: int | None) -> None:
     """Fold one finished process shard into the parent-side sinks.
 
-    A process worker's telemetry snapshot merges into the live registry,
-    its spans graft under *graft_parent_id* (the live batch span, so they
-    join the parent's tree instead of floating), and its events relay onto
-    the live bus.  The ``serving.shard.<id>.*`` gauges are set here:
-    gauges are last-write-wins state, so they must be
-    *set* parent-side, not merged as offsets.
+    A process worker's metrics snapshot merges into the live registry,
+    its span records graft under *graft_parent_id* (the live batch span,
+    so they join the parent's tree instead of floating), and its events
+    relay onto the live bus tagged ``relay_source="shard-<id>"``.  Each
+    part is dropped when the parent has that sink off.  The
+    ``serving.shard.<id>.*`` gauges are set here: gauges are
+    last-write-wins state, so they must be *set* parent-side, not merged
+    as offsets.
     """
-    if sr.telemetry is not None:
-        apply_telemetry(
-            sr.telemetry,
-            registry=m if metrics_enabled() else None,
-            collector=get_collector(),
-            bus=events(),
-            graft_parent_id=graft_parent_id,
-        )
+    if sr.metrics and metrics_enabled():
+        m.merge_snapshot(sr.metrics)
+    collector = get_collector()
+    if sr.spans and collector is not None:
+        collector.add_batch(sr.spans, graft_parent_id=graft_parent_id)
+    bus = events()
+    if sr.events and bus is not None:
+        bus.relay(sr.events, source=f"shard-{sr.shard_id}")
     prefix = f"serving.shard.{sr.shard_id}"
     m.gauge(f"{prefix}.items").set(len(sr.outcomes))
     m.gauge(f"{prefix}.ok").set(sr.ok)

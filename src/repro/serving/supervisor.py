@@ -382,7 +382,7 @@ def _synthesize_crash_result(unit: _Unit, message: str) -> ShardResult:
     return ShardResult(
         shard_id=unit.task.shard_id, outcomes=tuple(outcomes),
         ok=0, quarantined=len(outcomes),
-        duration_ms=0.0, items_per_s=0.0, telemetry=None,
+        duration_ms=0.0, items_per_s=0.0,
     )
 
 

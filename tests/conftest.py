@@ -23,7 +23,8 @@ def _isolate_process_globals():
 
     The breaker registry (:func:`repro.serving.get_breaker`), the tracked
     ops server, the status-section registry, and the obs enable/disable
-    globals are process-wide by design — which means a test that enables
+    globals (dropping the event bus detaches every sink subscribed to it)
+    are process-wide by design — which means a test that enables
     one and fails (or just forgets to disable) leaks it into every test
     that runs after it.  This guard makes each test see the pristine
     disabled-by-default world, so suites pass in any order and under
@@ -37,8 +38,6 @@ def _isolate_process_globals():
     obs.stop_ops_server()
     for name in list(obs.status_sections()):
         obs.unregister_status_section(name)
-    obs.disable_slo()
-    obs.disable_flight_recorder()
     obs.disable_events()
     obs.disable_tracing()
     obs.disable_metrics()

@@ -384,7 +384,47 @@ class TestOpsSurface:
         assert "quarantine" in kinds
         from repro import obs
 
-        assert obs.flight_recorder() is None, "recorder disabled after the run"
+        assert not obs.events_enabled(), "recorder detached with the bus"
+
+    @pytest.mark.parametrize("flight", [False, True], ids=["tail", "flight-dir"])
+    def test_ops_port_serves_event_tail_and_slo_block(
+        self, flight, tmp_path, capsys, monkeypatch
+    ):
+        import json
+        import urllib.request
+
+        from repro import obs
+        from repro.cli import _cmd_summarize
+
+        scenario = CityScenario.build(ScenarioConfig(seed=7, n_training_trips=40))
+        csv_path = tmp_path / "trip.csv"
+        write_trajectory_csv(
+            scenario.simulate_trip(depart_time=10 * 3600.0).raw, csv_path
+        )
+        scraped = {}
+
+        def probing(args):
+            code = _cmd_summarize(args)
+            url = obs.active_ops_server().url
+            for path in ("/events", "/status"):
+                with urllib.request.urlopen(url + path, timeout=5.0) as resp:
+                    scraped[path] = json.loads(resp.read())
+            return code
+
+        monkeypatch.setattr("repro.cli._cmd_summarize", probing)
+        argv = [
+            "--training", "40", "summarize", str(csv_path),
+            "--ops-port", "0", "--slo", "p95_ms=5000",
+        ]
+        if flight:
+            argv += ["--flight-dir", str(tmp_path / "flight")]
+        code = main(argv)
+        capsys.readouterr()
+        assert code == 0
+        kinds = [e["kind"] for e in scraped["/events"]["events"]]
+        assert "batch_start" in kinds and "item_end" in kinds
+        assert scraped["/status"]["slo"]["samples"] == 1
+        assert obs.active_ops_server() is None and not obs.events_enabled()
 
 
 class TestReportCommand:
@@ -414,3 +454,18 @@ class TestReportCommand:
         from repro import obs
 
         assert not obs.metrics_enabled() and not obs.tracing_enabled()
+
+    def test_report_trips_have_distinct_ids(self, tmp_path, capsys):
+        import json
+
+        events_path = tmp_path / "events.jsonl"
+        code = main([
+            "--training", "40", "report", "--trips", "3",
+            "--out", str(tmp_path / "rr"), "--events-out", str(events_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        item_ends = [e for e in events if e["kind"] == "item_end"]
+        assert len(item_ends) == 3
+        assert len({e["trajectory_id"] for e in item_ends}) == 3

@@ -1,9 +1,11 @@
 """Tests for cross-process telemetry aggregation: merge_snapshot, span
-batches, event relays, TelemetrySnapshot, and the shard differential
+batches, event relays, the parent's fold of a process shard's records
+(``ShardResult.metrics``/``spans``/``events``), and the shard differential
 (sharded registry == serial registry)."""
 
 from __future__ import annotations
 
+import pickle
 import random
 import threading
 
@@ -15,11 +17,12 @@ from repro.obs import (
     EventBus,
     EventLog,
     MetricsRegistry,
+    PipelineEvent,
     TraceCollector,
-    apply_telemetry,
-    capture_telemetry,
 )
 from repro.obs.trace import SpanRecord
+from repro.serving import ShardResult
+from repro.serving.pool import _publish_shard
 
 
 @pytest.fixture(autouse=True)
@@ -173,7 +176,7 @@ class TestSpanBatches:
     def test_ids_reassigned_and_parents_remapped(self):
         target = TraceCollector()
         batch = [self._record(1), self._record(2, parent_id=1, name="child")]
-        added = target.add_batch([r.to_dict() for r in batch])
+        added = target.add_batch(batch)
         assert added == 2
         spans = {s.name: s for s in target.spans()}
         assert spans["child"].parent_id == spans["stage"].span_id
@@ -212,9 +215,7 @@ class TestEventRelay:
         parent_log = EventLog()
         parent_bus.subscribe(parent_log)
         parent_bus.emit("batch_start", items=2)
-        relayed = parent_bus.relay(
-            [e.to_dict() for e in worker_log], source="shard-0"
-        )
+        relayed = parent_bus.relay(list(worker_log), source="shard-0")
         assert [e.seq for e in parent_log] == [1, 2, 3]
         assert [e.kind for e in relayed] == ["quarantine", "retry"]
         q = relayed[0]
@@ -224,8 +225,7 @@ class TestEventRelay:
         assert q.trajectory_id == "t-1"
 
     def test_relay_unknown_kind_raises(self):
-        bad = {"seq": 1, "ts_s": 0.0, "kind": "made_up", "stage": None,
-               "trajectory_id": None, "payload": {}}
+        bad = PipelineEvent(1, 0.0, "made_up")
         with pytest.raises(ValueError, match="unknown event kind"):
             EventBus().relay([bad])
 
@@ -236,8 +236,12 @@ class TestEventRelay:
         assert out.kind == "progress" and out.payload["done"] == 1
 
 
-class TestTelemetrySnapshot:
-    def _worker_bundle(self):
+class TestShardResultFold:
+    """A process worker ships its telemetry as records inside its
+    :class:`ShardResult`; ``_publish_shard`` folds them into the parent's
+    live sinks."""
+
+    def _worker_result(self) -> ShardResult:
         registry = MetricsRegistry()
         registry.counter("work.calls").inc(2)
         registry.histogram("work.ms", buckets=BOUNDS).observe(3.0)
@@ -247,30 +251,41 @@ class TestTelemetrySnapshot:
         log = EventLog()
         bus.subscribe(log)
         bus.emit("quarantine", trajectory_id="t-9", error_type="Boom")
-        return capture_telemetry(
-            registry=registry, collector=collector, events=log, source="shard-1"
+        return ShardResult(
+            shard_id=1, outcomes=(), ok=0, quarantined=0,
+            duration_ms=1.5, items_per_s=0.0,
+            metrics=registry.snapshot(),
+            spans=tuple(collector.spans()),
+            events=tuple(log),
         )
 
-    def test_apply_folds_all_three_sinks(self):
-        snapshot = self._worker_bundle()
-        registry = MetricsRegistry()
-        collector = TraceCollector()
-        bus = EventBus()
+    def test_records_cross_pickle_unchanged(self):
+        result = self._worker_result()
+        assert pickle.loads(pickle.dumps(result)) == result
+
+    def test_publish_folds_all_three_sinks(self):
+        result = pickle.loads(pickle.dumps(self._worker_result()))
+        registry = obs.enable_metrics(MetricsRegistry())
+        collector = obs.enable_tracing(TraceCollector())
         log = EventLog()
-        bus.subscribe(log)
-        apply_telemetry(
-            snapshot, registry=registry, collector=collector, bus=bus
-        )
+        obs.enable_events().subscribe(log)
+        batch_id = collector.next_span_id()
+        _publish_shard(result, obs.metrics(), batch_id)
         assert registry.snapshot()["work.calls"]["value"] == 2.0
-        assert [s.name for s in collector.spans()] == ["stage"]
+        assert registry.histogram("work.ms").count == 1
+        [stage] = collector.spans()
+        assert stage.name == "stage" and stage.parent_id == batch_id
         [event] = log.events("quarantine")
         assert event.payload["relay_source"] == "shard-1"
+        assert event.payload["relay_seq"] == 1
+        assert registry.gauge("serving.shard.1.duration_ms").value == 1.5
 
-    def test_apply_skips_missing_sinks(self):
-        snapshot = self._worker_bundle()
-        registry = MetricsRegistry()
-        apply_telemetry(snapshot, registry=registry)  # no collector, no bus
+    def test_publish_skips_disabled_sinks(self):
+        registry = obs.enable_metrics(MetricsRegistry())
+        # No collector, no bus: the span and event halves are dropped.
+        _publish_shard(self._worker_result(), obs.metrics(), None)
         assert registry.snapshot()["work.calls"]["value"] == 2.0
+        assert obs.get_collector() is None and not obs.events_enabled()
 
 
 def _deterministic_view(snapshot: dict) -> dict:

@@ -219,10 +219,14 @@ def test_render_analysis_sections():
             breakdown={
                 "exec_s": 0.02, "queue_wait_s": 0.005, "total_s": 0.025,
                 "stages_s": {"summarize": 0.02, "partition": 0.003},
+                # Older event files carry this per-batch constant; it
+                # loads and is no longer a phase.
+                "reassembly_s": 0.001,
             },
         )
     ]
     text = render_analysis(spans, events)
+    assert "reassembly" not in text
     assert "1 trace(s)" in text
     assert "all traces well-formed" in text
     assert "item 25.0ms -> attempt 24.0ms" in text

@@ -15,15 +15,18 @@ from repro.resilience import FaultInjector, FaultSpec, RetryPolicy
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    obs.disable_flight_recorder()
     obs.disable_events()
     obs.disable_tracing()
     obs.disable_metrics()
     yield
-    obs.disable_flight_recorder()
     obs.disable_events()
     obs.disable_tracing()
     obs.disable_metrics()
+
+
+def _subscribed(**kwargs) -> FlightRecorder:
+    """A recorder attached to the active bus, the way every sink attaches."""
+    return obs.enable_events().subscribe(FlightRecorder(**kwargs))
 
 
 def _read_dump(path) -> list[dict]:
@@ -129,26 +132,21 @@ class TestTriggers:
 
 
 class TestEnableDisable:
+    """A recorder's lifetime on the bus is its subscription: attached
+    with ``subscribe``, detached with the bus."""
+
     def test_enable_subscribes_and_is_idempotent(self):
-        recorder = obs.enable_flight_recorder(capacity=8)
-        assert obs.flight_recorder() is recorder
-        again = obs.enable_flight_recorder(recorder)
-        assert again is recorder
+        recorder = _subscribed(capacity=8)
+        assert obs.enable_events() is obs.events(), "re-enabling keeps the bus"
         obs.emit_event("progress", done=1)
         assert recorder.events_seen == 1, "re-enabling must not double-deliver"
 
     def test_disable_unsubscribes(self):
-        recorder = obs.enable_flight_recorder(capacity=8)
-        obs.disable_flight_recorder()
-        assert obs.flight_recorder() is None
+        recorder = _subscribed(capacity=8)
+        obs.disable_events()
+        obs.enable_events()
         obs.emit_event("progress", done=1)
         assert recorder.events_seen == 0
-
-    def test_replacing_recorder_unsubscribes_the_old_one(self):
-        old = obs.enable_flight_recorder(capacity=8)
-        new = obs.enable_flight_recorder(FlightRecorder(capacity=8))
-        obs.emit_event("progress", done=1)
-        assert new.events_seen == 1 and old.events_seen == 0
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +159,7 @@ class TestPipelineIntegration:
     def test_fault_injected_quarantine_dumps_the_failing_items_events(
         self, scenario, base_trip, tmp_path
     ):
-        recorder = obs.enable_flight_recorder(dump_dir=tmp_path)
+        recorder = _subscribed(dump_dir=tmp_path)
         injector = FaultInjector(
             [FaultSpec(stage="extract", error=TransientError, times=None)]
         )
@@ -184,7 +182,7 @@ class TestPipelineIntegration:
         assert q["payload"]["error"], "quarantine events carry the message"
 
     def test_degradation_triggers_a_capture(self, scenario, base_trip):
-        recorder = obs.enable_flight_recorder(capacity=64)
+        recorder = _subscribed(capacity=64)
         injector = FaultInjector.raising("partition")
         with injector.installed(scenario.stmaker):
             scenario.stmaker.summarize(base_trip.raw, k=2)
@@ -197,7 +195,7 @@ class TestPipelineIntegration:
             t.raw
             for t in scenario.simulate_trips(4, depart_time=10 * 3600.0, rng=rng)
         ]
-        recorder = obs.enable_flight_recorder(dump_dir=tmp_path)
+        recorder = _subscribed(dump_dir=tmp_path)
         injector = FaultInjector(
             [FaultSpec(stage="extract", error=TransientError, times=None)]
         )

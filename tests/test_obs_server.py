@@ -10,20 +10,18 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, OpsServer
+from repro.obs.flight import FlightRecorder
+from repro.obs.server import PROMETHEUS_CONTENT_TYPE
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
     obs.stop_ops_server()
-    obs.disable_flight_recorder()
     obs.disable_events()
     obs.disable_tracing()
     obs.disable_metrics()
     yield
     obs.stop_ops_server()
-    obs.disable_flight_recorder()
     obs.disable_events()
     obs.disable_tracing()
     obs.disable_metrics()
@@ -43,9 +41,15 @@ def _get_json(url: str):
     return status, json.loads(body)
 
 
+def _tail_recorder() -> FlightRecorder:
+    """The tail-only ring the CLI subscribes for ``/events``."""
+    recorder = FlightRecorder(capacity=1024, trigger_kinds=frozenset())
+    return obs.enable_events().subscribe(recorder)
+
+
 @pytest.fixture
 def server():
-    srv = obs.start_ops_server()
+    srv = obs.start_ops_server(recorder=_tail_recorder())
     yield srv
     obs.stop_ops_server()
 
@@ -67,13 +71,6 @@ class TestEndpoints:
         status, _ = _get_json(server.url + "/readyz")
         assert status == 503
 
-    def test_ready_check_callable_wins(self):
-        warm = {"done": False}
-        with OpsServer(ready_check=lambda: warm["done"]).start() as srv:
-            assert _get(srv.url + "/readyz")[0] == 503
-            warm["done"] = True
-            assert _get(srv.url + "/readyz")[0] == 200
-
     def test_metrics_serves_live_prometheus_exposition(self, server):
         registry = obs.enable_metrics()
         registry.counter("summarize.calls").inc(3)
@@ -84,16 +81,6 @@ class TestEndpoints:
         families = obs.parse_prometheus(body.decode("utf-8"))
         assert families["summarize_calls_total"]["type"] == "counter"
         assert families["lat_ms"]["type"] == "histogram"
-
-    def test_metrics_with_pinned_registry(self):
-        pinned = MetricsRegistry()
-        pinned.counter("pinned.calls").inc(7)
-        obs.enable_metrics().counter("live.calls").inc(1)
-        with OpsServer(registry=pinned).start() as srv:
-            _, body, _ = _get(srv.url + "/metrics")
-        text = body.decode("utf-8")
-        assert "pinned_calls_total 7" in text
-        assert "live_calls_total" not in text
 
     def test_status_is_a_run_report_snapshot(self, server):
         obs.enable_metrics().counter("summarize.calls").inc()
@@ -108,23 +95,22 @@ class TestEndpoints:
     def test_status_includes_slo_block_when_engine_active(self, server):
         _, payload = _get_json(server.url + "/status")
         assert "slo" not in payload  # no engine, no block
-        obs.enable_slo([obs.SLObjective(
+        bus = obs.enable_events()
+        engine = bus.subscribe(obs.SLOEngine([obs.SLObjective(
             name="lat", kind="latency_p95", threshold_ms=100.0,
             min_samples=1,
-        )])
-        try:
-            for _ in range(3):
-                obs.emit_event("item_end", ok=True, duration_ms=500.0)
-            status, payload = _get_json(server.url + "/status")
-            assert status == 200
-            slo = payload["slo"]
-            assert slo["samples"] == 3
-            objective = slo["objectives"][0]
-            assert objective["objective"]["name"] == "lat"
-            assert objective["breached"] is True
-            assert objective["p95_ms"] == pytest.approx(500.0)
-        finally:
-            obs.disable_slo()
+        )], bus=bus))
+        server = obs.start_ops_server(slo=engine)
+        for _ in range(3):
+            obs.emit_event("item_end", ok=True, duration_ms=500.0)
+        status, payload = _get_json(server.url + "/status")
+        assert status == 200
+        slo = payload["slo"]
+        assert slo["samples"] == 3
+        objective = slo["objectives"][0]
+        assert objective["objective"]["name"] == "lat"
+        assert objective["breached"] is True
+        assert objective["p95_ms"] == pytest.approx(500.0)
 
     def test_events_tail_and_n_param(self, server):
         bus = obs.enable_events()
@@ -163,21 +149,22 @@ class TestLifecycle:
         obs.mark_ready()  # no server: must not raise
         assert obs.active_ops_server() is None
 
-    def test_owned_tail_recorder_unsubscribes_on_stop(self):
-        server = obs.start_ops_server()
-        bus = obs.enable_events()
-        before = bus.subscriber_count
-        assert before >= 1, "the server's tail recorder listens on the bus"
-        obs.stop_ops_server()
-        assert bus.subscriber_count == before - 1
-
     def test_reuses_the_active_flight_recorder(self):
-        recorder = obs.enable_flight_recorder(capacity=8)
-        server = obs.start_ops_server()
+        recorder = obs.enable_events().subscribe(FlightRecorder(capacity=8))
+        server = obs.start_ops_server(recorder=recorder)
         obs.emit_event("progress", done=1)
         _, payload = _get_json(server.url + "/events")
-        assert payload["count"] == 1, "/events reads the shared recorder"
-        assert recorder.events_seen == 1, "no duplicate subscription"
+        assert payload["count"] == 1, "/events reads the given recorder"
+        assert recorder.events_seen == 1
+        obs.stop_ops_server()
+        assert obs.events().subscriber_count == 1, "the server subscribes nothing"
+
+    def test_without_a_recorder_events_is_an_empty_tail(self):
+        server = obs.start_ops_server()
+        obs.emit_event("progress", done=1)
+        status, payload = _get_json(server.url + "/events")
+        assert status == 200
+        assert payload == {"count": 0, "events_seen": 0, "events": []}
 
 
 class TestMidBatchIntegration:
@@ -191,8 +178,7 @@ class TestMidBatchIntegration:
             for t in scenario.simulate_trips(3, depart_time=9 * 3600.0, rng=rng)
         ]
         obs.enable_metrics()
-        obs.enable_events()
-        server = obs.start_ops_server()
+        server = obs.start_ops_server(recorder=_tail_recorder())
         scraped: dict[str, object] = {}
 
         def probe(snapshot) -> None:

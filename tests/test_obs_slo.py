@@ -3,7 +3,7 @@
 The engine is driven here with a hand-cranked clock and a private
 :class:`~repro.obs.EventBus`, so window arithmetic is exact — no sleeps,
 no wall-clock flakiness.  The live integration (``item_end`` events from
-a real batch reaching an :func:`~repro.obs.enable_slo` engine) rides in
+a real batch reaching an engine subscribed to the active bus) rides in
 ``test_obs_trace_context.py``.
 """
 
@@ -253,28 +253,3 @@ def test_metrics_series_exported():
     finally:
         obs.disable_metrics()
 
-
-# -- module lifecycle ----------------------------------------------------------
-
-
-def test_enable_slo_implies_events_and_replaces_engine():
-    obs.disable_events()
-    try:
-        first = obs.enable_slo([LATENCY])
-        assert obs.events_enabled()
-        assert obs.slo_engine() is first
-        log = EventLog()
-        obs.events().subscribe(log)
-        second = obs.enable_slo([SUCCESS])
-        assert obs.slo_engine() is second
-        for _ in range(10):
-            obs.emit_event("item_end", ok=True, duration_ms=500.0)
-        # Only the active engine evaluates: the latency objective of the
-        # replaced engine would have breached on these samples.
-        assert log.events("slo_breach") == []
-        assert second.snapshot()["samples"] == 10
-        assert first.snapshot()["samples"] == 0
-    finally:
-        obs.disable_slo()
-        obs.disable_events()
-    assert obs.slo_engine() is None

@@ -45,7 +45,7 @@ def test_trace_context_roundtrips():
     ctx = obs.start_trace(anchor_unix_s=123.0)
     assert ctx.trace_id
     assert ctx.anchor_unix_s == 123.0
-    assert obs.TraceContext.from_dict(ctx.to_dict()) == ctx
+    # A context crosses the process boundary inside its ShardTask, by pickle.
     assert pickle.loads(pickle.dumps(ctx)) == ctx
 
 
@@ -99,12 +99,12 @@ def _worker_record(
     trace_id: str | None = None,
     start_s: float = 0.0,
     start_unix_s: float = 0.0,
-) -> dict[str, object]:
+) -> SpanRecord:
     return SpanRecord(
         span_id=span_id, parent_id=parent_id, name=name, start_s=start_s,
         duration_ms=1.0, status="ok", error=None, depth=0,
         trace_id=trace_id, start_unix_s=start_unix_s,
-    ).to_dict()
+    )
 
 
 def test_add_batch_grafts_infra_root_and_keeps_trace_roots():
@@ -236,7 +236,6 @@ def clean_tracing():
 @pytest.fixture()
 def clean_obs():
     yield
-    obs.disable_slo()
     obs.disable_tracing()
     obs.disable_events()
     obs.disable_metrics()
@@ -340,12 +339,12 @@ def test_slo_breach_fires_on_live_batch(stmaker, corpus, clean_obs):
     # Acceptance: a configured p95 SLO breach over a real batch emits
     # slo_breach on the bus (and therefore into /status and the flight
     # recorder's trigger set).
-    engine = obs.enable_slo([obs.SLObjective(
+    bus = obs.enable_events()
+    engine = bus.subscribe(obs.SLOEngine([obs.SLObjective(
         name="lat", kind="latency_p95", threshold_ms=0.001,
         min_samples=2, fast_window_s=60.0, window_s=60.0,
-    )])
-    log = obs.EventLog()
-    obs.events().subscribe(log)
+    )], bus=bus))
+    log = bus.subscribe(obs.EventLog())
     batch = stmaker.summarize_many(corpus, workers=WORKERS, executor=EXECUTOR)
     assert batch.ok_count == len(corpus)
     assert len(log.events("item_end")) == len(corpus)

@@ -189,3 +189,25 @@ class TestProcessPreChecks:
         )
         with pytest.raises(ConfigError, match="custom feature"):
             sibling.summarize_many(trips, k=2, workers=2, executor="process")
+
+
+class TestDefaultPoolShape:
+    def test_run_sharded_and_summarize_many_default_to_one_worker(
+        self, stmaker, trips, clean_obs
+    ):
+        """Both entry points default to ``workers=1``, so a process batch
+        with no pool shape runs serially: neither emits a shard event."""
+        bus = obs.enable_events()
+        shard_events = []
+        for call in (
+            lambda: stmaker.summarize_many(trips[:2], k=2, executor="process"),
+            lambda: run_sharded(stmaker, trips[:2], 2, executor="process"),
+        ):
+            log = bus.subscribe(obs.EventLog())
+            batch = call()
+            bus.unsubscribe(log)
+            assert batch.ok_count == 2
+            shard_events.append(
+                [e.kind for e in log if e.kind in ("shard_start", "shard_end")]
+            )
+        assert shard_events == [[], []]

@@ -6,9 +6,10 @@ name, heard through a span listener whether or not tracing is on;
 ``attempt`` spans.  With tracing on, the same spans land in the trace,
 so the two views must agree exactly — on the serial path and on the
 pool named by ``SERVING_TEST_EXECUTOR`` with ``SERVING_TEST_WORKERS``
-workers (CI matrix: thread/process × 1/4).  The runner's own durations,
-admission wait and reassembly, are likewise read from its ``admission``
-and ``reassemble`` spans.
+workers (CI matrix: thread/process × 1/4).  The runner's own durations
+are its ``admission`` and ``reassemble`` spans: each item's
+``admission_wait_s`` is read from the first, and reassembly, a per-batch
+constant, is recorded only as the second.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def test_breakdown_equals_item_span_subtree(scenario, trips, run, clean_obs):
 
 @pytest.mark.parametrize("run", list(RUNS))
 def test_runner_durations_are_its_spans(scenario, trips, run, clean_obs):
-    """Admission wait and reassembly are read off the runner's own spans.
+    """Admission wait and reassembly are the runner's own spans.
 
     Both are infrastructure spans: they sit outside every item's request,
     carry no trace id, and leave each item's trace a well-formed tree.
@@ -107,9 +108,6 @@ def test_runner_durations_are_its_spans(scenario, trips, run, clean_obs):
     for latency in batch.latencies:
         assert latency.admission_wait_s == pytest.approx(
             admission.duration_ms / 1000.0, rel=1e-9
-        )
-        assert latency.reassembly_s == pytest.approx(
-            reassemble.duration_ms / 1000.0, rel=1e-9
         )
     assert trace_problems(collector.spans()) == []
 

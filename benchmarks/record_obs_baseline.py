@@ -1,15 +1,16 @@
 """Record the observability no-op overhead baseline (``BENCH_obs.json``).
 
-Runs the Fig. 12 efficiency workload over the same scenario and trips —
-once fully disabled, once with tracing + metrics enabled, once with the
-full always-on production stack (tracing + metrics + events + flight
-recorder), and once with that stack plus a subscribed SLO engine — and
-writes the paired per-trajectory means plus the relative overheads to
-``BENCH_obs.json`` at the repository root.  The acceptance bars: the
-disabled ("no-op") path costs < 5 % relative to a build without any
-instrumentation, and both the flight-recorder stack and the SLO stack
-cost < 5 % relative to the disabled path, so they are safe to leave on
-in serving.
+Summarizes the same scenario trips through ``summarize_many``, one trip
+per call, so that every item settles on the batch path and its
+``item_end`` event reaches the bus — once fully disabled, once with
+tracing + metrics enabled, once with the full always-on production stack
+(tracing + metrics + events + flight recorder), and once with that stack
+plus a subscribed SLO engine — and writes the paired per-trajectory means
+plus the relative overheads to ``BENCH_obs.json`` at the repository root.
+The acceptance bars: the disabled ("no-op") path costs < 5 % relative to a
+build without any instrumentation, and both the flight-recorder stack and
+the SLO stack cost < 5 % relative to the disabled path, so they are safe
+to leave on in serving.
 
 Timing goes through :mod:`harness` (``measure_interleaved``): the two
 configurations run round-robin and the median of several rounds is
@@ -26,72 +27,68 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import time
 from pathlib import Path
+
+import numpy as np
 
 import harness
 from repro import obs
-from repro.experiments import run_efficiency
 from repro.simulate import CityScenario, ScenarioConfig
-
-
-def _mean_ms(result) -> float:
-    """Overall mean per-trajectory summarization cost of one run."""
-    times = [ms for _, ms in result.by_size]
-    return float(statistics.fmean(times))
 
 
 def run(rounds: int, n_trips: int) -> dict:
     scenario = CityScenario.build(
         ScenarioConfig(seed=7, n_training_trips=400, training_days=5)
     )
+    trips = [t.raw for t in scenario.simulate_trips(n_trips, rng=np.random.default_rng(13))]
+
+    def mean_ms() -> float:
+        """Mean cost of one single-trip ``summarize_many`` call, ms."""
+        times = []
+        for raw in trips:
+            start = time.perf_counter()
+            scenario.stmaker.summarize_many([raw])
+            times.append((time.perf_counter() - start) * 1000.0)
+        return float(statistics.fmean(times))
 
     def disabled() -> float:
         obs.disable_tracing()
         obs.disable_metrics()
-        return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
+        return mean_ms()
 
     def enabled() -> float:
         obs.enable_tracing(max_spans=500_000)
         obs.enable_metrics()
         try:
-            return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
+            return mean_ms()
         finally:
             obs.disable_tracing()
             obs.disable_metrics()
 
-    def flight() -> float:
+    def stack(*, slo: bool) -> float:
         # The always-on serving stack: tracing + metrics + the event bus
-        # with a flight recorder subscribed (ring appends on every event).
-        obs.enable_tracing(max_spans=500_000)
-        obs.enable_metrics()
-        obs.enable_events().subscribe(obs.FlightRecorder(capacity=512))
-        try:
-            return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
-        finally:
-            obs.disable_events()
-            obs.disable_tracing()
-            obs.disable_metrics()
-
-    def slo() -> float:
-        # The flight stack plus an SLO engine on the bus.  This workload
-        # summarizes trajectories one call at a time (no batch), so no
-        # ``item_end`` events fire — what is measured is the engine's
-        # standing cost on the hot event stream: one extra subscriber
-        # dispatched and filtered per stage event, which is exactly the
-        # price of leaving it enabled in serving.
+        # with a flight recorder subscribed (ring appends on every event),
+        # plus, with *slo*, an SLO engine that folds every item_end.
+        recorder = obs.FlightRecorder(capacity=512)
         obs.enable_tracing(max_spans=500_000)
         obs.enable_metrics()
         bus = obs.enable_events()
-        bus.subscribe(obs.FlightRecorder(capacity=512))
-        bus.subscribe(obs.SLOEngine([
-            obs.SLObjective(name="latency", kind="latency_p95", threshold_ms=500.0),
-        ], bus=bus))
+        bus.subscribe(recorder)
+        if slo:
+            bus.subscribe(obs.SLOEngine([
+                obs.SLObjective(name="latency", kind="latency_p95", threshold_ms=500.0),
+            ], bus=bus))
         try:
-            return _mean_ms(run_efficiency(scenario, n_trips=n_trips))
+            result = mean_ms()
         finally:
             obs.disable_events()
             obs.disable_tracing()
             obs.disable_metrics()
+        # An idle bus would time the subscribers at no cost.
+        if recorder.events_seen == 0:
+            raise RuntimeError("the flight recorder captured no event")
+        return result
 
     # The harness interleaves the configurations round-by-round; warmup
     # faults in caches and lazy structures on both paths before timing.
@@ -99,8 +96,8 @@ def run(rounds: int, n_trips: int) -> dict:
         {
             "obs.disabled_mean_ms": disabled,
             "obs.enabled_mean_ms": enabled,
-            "obs.flight_mean_ms": flight,
-            "obs.slo_mean_ms": slo,
+            "obs.flight_mean_ms": lambda: stack(slo=False),
+            "obs.slo_mean_ms": lambda: stack(slo=True),
         },
         repeats=rounds, warmup=1, sample="returned",
     )
@@ -111,7 +108,7 @@ def run(rounds: int, n_trips: int) -> dict:
     flight_stats = stats["obs.flight_mean_ms"]
     slo_stats = stats["obs.slo_mean_ms"]
     return {
-        "benchmark": "bench_fig12_efficiency (run_efficiency mean ms per trajectory)",
+        "benchmark": "summarize_many, one trip per call (mean ms per trajectory)",
         "rounds": rounds,
         "n_trips": n_trips,
         "disabled_ms": {

@@ -12,6 +12,7 @@ from repro.geo.distance import (
     LocalProjector,
     haversine_m,
     point_segment_distance_m,
+    segment_distance_xy,
 )
 from repro.geo.bbox import BoundingBox
 from repro.geo.polyline import (
@@ -32,6 +33,7 @@ __all__ = [
     "LocalProjector",
     "haversine_m",
     "point_segment_distance_m",
+    "segment_distance_xy",
     "BoundingBox",
     "polyline_length_m",
     "cumulative_lengths_m",

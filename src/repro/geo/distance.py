@@ -53,17 +53,25 @@ class LocalProjector:
         return math.hypot(dx, dy)
 
 
-def _project_fraction(
+def segment_distance_xy(
     px: float, py: float, ax: float, ay: float, bx: float, by: float
-) -> float:
-    """Fraction along segment AB of the projection of P, clamped to [0, 1]."""
+) -> tuple[float, float]:
+    """Distance from P to segment AB in planar metres, and the fraction.
+
+    Returns ``(distance_m, fraction)`` where *fraction* in ``[0, 1]`` locates
+    the closest point along AB, measured from A.  The one implementation of
+    the segment arithmetic, so projecting a point once and reusing stored
+    endpoint projections gives the same floats as
+    :func:`point_segment_distance_m`.
+    """
     vx = bx - ax
     vy = by - ay
     seg_sq = vx * vx + vy * vy
     if seg_sq == 0.0:
-        return 0.0
-    t = ((px - ax) * vx + (py - ay) * vy) / seg_sq
-    return min(1.0, max(0.0, t))
+        t = 0.0
+    else:
+        t = min(1.0, max(0.0, ((px - ax) * vx + (py - ay) * vy) / seg_sq))
+    return (math.hypot(px - (ax + t * vx), py - (ay + t * vy)), t)
 
 
 def point_segment_distance_m(
@@ -77,10 +85,6 @@ def point_segment_distance_m(
     Returns ``(distance_m, fraction)`` where *fraction* in ``[0, 1]`` locates
     the closest point along the segment.
     """
-    px, py = projector.to_xy(point)
-    ax, ay = projector.to_xy(seg_start)
-    bx, by = projector.to_xy(seg_end)
-    t = _project_fraction(px, py, ax, ay, bx, by)
-    cx = ax + t * (bx - ax)
-    cy = ay + t * (by - ay)
-    return (math.hypot(px - cx, py - cy), t)
+    return segment_distance_xy(
+        *projector.to_xy(point), *projector.to_xy(seg_start), *projector.to_xy(seg_end)
+    )

@@ -1,9 +1,10 @@
 """Uniform-grid spatial hash for radius and nearest-neighbour queries.
 
-This is the spatial index used throughout the library (landmark lookup,
-map-matching candidate generation, DBSCAN region queries).  Items are bucketed
-by the cell that contains them; a radius query scans the ring of cells
-overlapping the query disc.
+This is the point index used throughout the library (road-node lookup,
+landmark lookup, DBSCAN region queries).  Items are bucketed by the cell
+that contains them; a radius query scans the ring of cells overlapping the
+query disc.  Map-matching candidate edges come from the road network's own
+edge index (:meth:`repro.roadnet.RoadNetwork.edges_near`), not from here.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from repro.geo.point import GeoPoint
 
 T = TypeVar("T")
 
+#: Side of a grid cell, metres.  The road network's edge index uses the
+#: same cells.
+CELL_SIZE_M = 250.0
+
 
 class GridIndex(Generic[T]):
     """Spatial hash of ``(GeoPoint, item)`` pairs with metric queries."""
 
-    def __init__(self, projector: LocalProjector, cell_size_m: float = 250.0) -> None:
+    def __init__(self, projector: LocalProjector, cell_size_m: float = CELL_SIZE_M) -> None:
         if cell_size_m <= 0.0:
             raise GeometryError(f"cell size must be positive, got {cell_size_m}")
         self._projector = projector

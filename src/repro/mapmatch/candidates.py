@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.geo import GeoPoint
 from repro.roadnet import EdgeId, RoadNetwork
@@ -27,8 +28,11 @@ def candidates_for_point(
     radius_m: float,
     max_candidates: int,
 ) -> list[Candidate]:
-    """The *max_candidates* nearest edges within *radius_m* of *point*."""
-    hits = sorted(network._project_near(point, radius_m), key=lambda hit: hit[0])
+    """The *max_candidates* nearest edges within *radius_m* of *point*.
+
+    Equal distances keep :meth:`RoadNetwork.edges_near` order.
+    """
+    hits = sorted(network.edges_near(point, radius_m), key=itemgetter(0))
     return [
         Candidate(edge.edge_id, fraction, dist)
         for dist, fraction, edge in hits[:max_candidates]

@@ -337,7 +337,7 @@ class NearestEdgeMatcher:
         for i, sample in enumerate(points):
             # The first of equal distances wins, as in RoadNetwork.nearest_edge.
             hit = min(
-                self.network._project_near(sample.point, self.search_radius_m),
+                self.network.edges_near(sample.point, self.search_radius_m),
                 key=itemgetter(0),
                 default=None,
             )

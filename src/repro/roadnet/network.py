@@ -2,27 +2,30 @@
 
 Edges are stored once with a :class:`TrafficDirection`; a two-way edge is
 traversable in both directions, a one-way edge only from ``u`` to ``v``.
-All metric queries (nearest node / nearest edge) are served by grid indexes,
-and ``out_edges`` by a directed adjacency; all are built lazily on first use
+Node queries are served by a :class:`~repro.geo.GridIndex`, edge queries
+(:meth:`RoadNetwork.edges_near`) by one edge index per query radius, and
+``out_edges`` by a directed adjacency; all are built lazily on first use
 and invalidated on mutation.  The map matcher's cache of bounded search
-trees (:meth:`RoadNetwork.search_trees`) is one of these indexes: every
-mutation drops it, and it is never serialized.
+trees (:meth:`RoadNetwork.search_trees`) is one of these indexes.  Every
+mutation drops them all, and none is serialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from repro.exceptions import RoadNetworkError
+from repro.exceptions import GeometryError, RoadNetworkError
 from repro.geo import (
     BoundingBox,
     GeoPoint,
     GridIndex,
     LocalProjector,
-    point_segment_distance_m,
+    segment_distance_xy,
 )
+from repro.geo.grid import CELL_SIZE_M
 from repro.roadnet.types import RoadGrade, TrafficDirection
 
 NodeId = int
@@ -67,12 +70,17 @@ class RoadEdge:
         return False
 
 
+#: An edge with its projected endpoints, ``(ax, ay, bx, by, edge)``.
+_EdgeEntry = tuple[float, float, float, float, RoadEdge]
+
+
 @dataclass(slots=True)
 class _Indexes:
     node_grid: GridIndex[NodeId] | None = None
-    edge_grid: GridIndex[EdgeId] | None = None
     out_edges: dict[NodeId, tuple[tuple[RoadEdge, NodeId], ...]] | None = None
-    max_edge_length_m: float | None = None
+    edge_cells: dict[float, dict[tuple[int, int], list[_EdgeEntry]]] = field(
+        default_factory=dict
+    )
     search_trees: dict[NodeId, tuple[float, dict[NodeId, float]]] = field(
         default_factory=dict
     )
@@ -239,25 +247,49 @@ class RoadNetwork:
             self._indexes.node_grid = grid
         return self._indexes.node_grid
 
-    def _edge_grid(self) -> GridIndex[EdgeId]:
-        # Edges are indexed by midpoint; queries over-scan by half the longest
-        # edge so that long edges near the query point are not missed.
-        if self._indexes.edge_grid is None:
-            grid: GridIndex[EdgeId] = GridIndex(self.projector)
-            for edge in self._edges.values():
-                a = self._nodes[edge.u].point
-                b = self._nodes[edge.v].point
-                mid = GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0)
-                grid.insert(mid, edge.edge_id)
-            self._indexes.edge_grid = grid
-        return self._indexes.edge_grid
+    def _edge_cells(self, radius_m: float) -> dict[tuple[int, int], list[_EdgeEntry]]:
+        """The edge index for *radius_m*: cell key -> edges that may lie
+        within *radius_m* of a point in that cell.
 
-    def _max_edge_length(self) -> float:
-        if self._indexes.max_edge_length_m is None:
-            self._indexes.max_edge_length_m = max(
-                (e.length_m for e in self._edges.values()), default=0.0
+        Each edge is entered into every cell that its segment's bounding
+        box, padded by ``radius_m + 1`` m, touches, so one cell holds every
+        edge within the radius of any point in it.  Buckets list edges in
+        the order of (midpoint cell x, midpoint cell y, insertion): the
+        order in which a midpoint grid's radius scan meets them, which
+        fixes the order of exact distance ties.
+        """
+        by_radius = self._indexes.edge_cells
+        cells = by_radius.get(radius_m)
+        if cells is not None:
+            return cells
+        if radius_m < 0.0:
+            raise GeometryError(f"radius must be non-negative, got {radius_m}")
+        to_xy = self.projector.to_xy
+        ranked = []
+        for rank, edge in enumerate(self._edges.values()):
+            a = self._nodes[edge.u].point
+            b = self._nodes[edge.v].point
+            mx, my = to_xy(GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0))
+            key = (math.floor(mx / CELL_SIZE_M), math.floor(my / CELL_SIZE_M), rank)
+            ranked.append((key, (*to_xy(a), *to_xy(b), edge)))
+        ranked.sort(key=itemgetter(0))
+        pad = radius_m + 1.0
+        cells = {}
+        for _, entry in ranked:
+            ax, ay, bx, by, _ = entry
+            x_cells = range(
+                math.floor((min(ax, bx) - pad) / CELL_SIZE_M),
+                math.floor((max(ax, bx) + pad) / CELL_SIZE_M) + 1,
             )
-        return self._indexes.max_edge_length_m
+            y_cells = range(
+                math.floor((min(ay, by) - pad) / CELL_SIZE_M),
+                math.floor((max(ay, by) + pad) / CELL_SIZE_M) + 1,
+            )
+            for ix in x_cells:
+                for iy in y_cells:
+                    cells.setdefault((ix, iy), []).append(entry)
+        by_radius[radius_m] = cells
+        return cells
 
     def nearest_node(self, point: GeoPoint, max_radius_m: float = 5_000.0) -> RoadNode | None:
         """The node closest to *point* within *max_radius_m*."""
@@ -271,38 +303,39 @@ class RoadNetwork:
         hits = self._node_grid().query_radius(point, radius_m)
         return [(d, self._nodes[nid]) for d, nid in hits]
 
-    def edges_near(self, point: GeoPoint, radius_m: float) -> list[tuple[float, RoadEdge]]:
+    def edges_near(
+        self, point: GeoPoint, radius_m: float
+    ) -> list[tuple[float, float, RoadEdge]]:
         """Edges whose geometry passes within *radius_m* of *point*.
 
-        Returns ``(perpendicular_distance_m, edge)`` pairs, unsorted.
+        Returns ``(distance_m, fraction, edge)`` triples, where ``fraction``
+        locates the projection of *point* along the edge from ``u`` toward
+        ``v``.  They are not sorted by distance, but their order is fixed
+        (see :meth:`_edge_cells`), so a stable sort or ``min`` breaks exact
+        ties the same way on every call.  The index for each distinct
+        *radius_m* is built on first use and kept until the next mutation.
         """
-        return [(dist, edge) for dist, _, edge in self._project_near(point, radius_m)]
-
-    def _project_near(
-        self, point: GeoPoint, radius_m: float
-    ) -> Iterator[tuple[float, float, RoadEdge]]:
-        """``(distance_m, fraction, edge)`` for each edge within *radius_m*.
-
-        ``fraction`` locates the projection of *point* along the edge from
-        ``u`` toward ``v``.
-        """
-        scan = radius_m + self._max_edge_length() / 2.0 + 1.0
-        for _, eid in self._edge_grid().query_radius(point, scan):
-            edge = self._edges[eid]
-            dist, fraction = point_segment_distance_m(
-                point, self._nodes[edge.u].point, self._nodes[edge.v].point, self.projector
-            )
+        cells = self._edge_cells(radius_m)
+        px, py = self.projector.to_xy(point)
+        bucket = cells.get((math.floor(px / CELL_SIZE_M), math.floor(py / CELL_SIZE_M)), ())
+        hits = []
+        for ax, ay, bx, by, edge in bucket:
+            dist, fraction = segment_distance_xy(px, py, ax, ay, bx, by)
             if dist <= radius_m:
-                yield dist, fraction, edge
+                hits.append((dist, fraction, edge))
+        return hits
 
     def nearest_edge(
         self, point: GeoPoint, max_radius_m: float = 500.0
     ) -> tuple[float, RoadEdge] | None:
-        """The edge geometrically closest to *point*, or ``None``."""
-        hits = self.edges_near(point, max_radius_m)
-        if not hits:
+        """The edge geometrically closest to *point*, or ``None``.
+
+        The first of equal distances in :meth:`edges_near` order wins.
+        """
+        hit = min(self.edges_near(point, max_radius_m), key=itemgetter(0), default=None)
+        if hit is None:
             return None
-        return min(hits, key=lambda pair: pair[0])
+        return hit[0], hit[2]
 
     # -- derived geometry ----------------------------------------------------
 

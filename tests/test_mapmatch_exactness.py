@@ -1,9 +1,11 @@
-"""Exactness of the HMM matcher's route-search shortcuts on scenario trips.
+"""Exactness of the map matcher's shortcuts on scenario trips.
 
-Two shortcuts must never change a match: pruning route searches at
-``route_bound_scale * straight + slack``, and serving a stage pair from a
+Three shortcuts must never change a match: pruning route searches at
+``route_bound_scale * straight + slack``, serving a stage pair from a
 search tree that the road network cached for a larger bound, in this
-``match`` call or any earlier one, on this thread or another.
+``match`` call or any earlier one, on this thread or another, and reading
+candidate edges from the road network's one-cell edge index instead of
+scanning a midpoint grid.
 """
 
 import sys
@@ -14,8 +16,9 @@ import pytest
 
 from repro import obs
 from repro.artifact import load_artifact, save_artifact
-from repro.geo import GeoPoint, point_segment_distance_m
+from repro.geo import GeoPoint, GridIndex, point_segment_distance_m
 from repro.mapmatch import (
+    Candidate,
     HMMMapMatcher,
     MapMatchConfig,
     MatchedPoint,
@@ -254,3 +257,60 @@ def test_nearest_edge_matcher_is_unchanged(scenario, trajectories, radius_m):
         if not expected.matched:
             continue  # both raise; nothing to compare
         assert matcher.match(raw.points) == expected, raw.trajectory_id
+
+
+class MidpointEdgeQuery:
+    """The edge query as first written, the reference for
+    ``RoadNetwork.edges_near``: edges bucketed by midpoint in a
+    :class:`GridIndex`, a scan widened to ``radius + max_len / 2 + 1`` so
+    that long edges are not missed, and ``point_segment_distance_m`` per
+    edge, in scan order."""
+
+    def __init__(self, network):
+        self.network = network
+        self.grid = GridIndex(network.projector)
+        for edge in network.edges():
+            a, b = network.node(edge.u).point, network.node(edge.v).point
+            self.grid.insert(GeoPoint((a.lat + b.lat) / 2.0, (a.lon + b.lon) / 2.0), edge)
+        self.max_len = max((edge.length_m for edge in network.edges()), default=0.0)
+
+    def edges_near(self, point, radius_m):
+        hits = []
+        for _, edge in self.grid.query_radius(point, radius_m + self.max_len / 2.0 + 1.0):
+            dist, fraction = point_segment_distance_m(
+                point, self.network.node(edge.u).point,
+                self.network.node(edge.v).point, self.network.projector,
+            )
+            if dist <= radius_m:
+                hits.append((dist, fraction, edge))
+        return hits
+
+    def candidates(self, point, radius_m, max_candidates):
+        hits = sorted(self.edges_near(point, radius_m), key=lambda hit: hit[0])
+        return [
+            Candidate(edge.edge_id, fraction, dist)
+            for dist, fraction, edge in hits[:max_candidates]
+        ]
+
+
+@pytest.mark.parametrize("radius_m", [60.0, 500.0])
+def test_candidate_lists_are_unchanged(scenario, trajectories, radius_m):
+    network = scenario.network
+    reference = MidpointEdgeQuery(network)
+    points = [p.point for raw in trajectories for p in raw.points]
+    points += [node.point for node in network.nodes()]
+    tied = 0
+    for point in points:
+        expected = reference.edges_near(point, radius_m)
+        assert network.edges_near(point, radius_m) == expected, point
+        candidates = reference.candidates(point, radius_m, 5)
+        assert candidates_for_point(network, point, radius_m, 5) == candidates, point
+        nearest = min(expected, key=lambda hit: hit[0], default=None)
+        assert network.nearest_edge(point, radius_m) == (
+            None if nearest is None else (nearest[0], nearest[2])
+        ), point
+        distances = [c.distance_m for c in candidates]
+        tied += len(set(distances)) < len(distances)
+    # Exact ties (samples nearest a shared node) must occur, or the order
+    # they keep would go unchecked.
+    assert tied > 0

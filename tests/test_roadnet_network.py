@@ -1,10 +1,13 @@
 """Tests for the road-network graph structure and spatial queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.exceptions import RoadNetworkError
+from repro.exceptions import GeometryError, RoadNetworkError
 from repro.geo import GeoPoint, LocalProjector
 from repro.roadnet import RoadGrade, RoadNetwork, TrafficDirection
+from tests.test_mapmatch_exactness import MidpointEdgeQuery
 
 CENTER = GeoPoint(39.91, 116.40)
 
@@ -134,7 +137,7 @@ class TestSpatialQueries:
 
     def test_edges_near_radius(self, micro_network, projector):
         probe = projector.to_point(250.0, 30.0)
-        names = {e.name for _, e in micro_network.edges_near(probe, 300.0)}
+        names = {e.name for _, _, e in micro_network.edges_near(probe, 300.0)}
         assert "Row 0 Avenue" in names
 
     def test_edge_bearing(self, micro_network):
@@ -167,7 +170,7 @@ class TestCachedIndexes:
         long_edge = net.add_edge(1, 2, RoadGrade.FEEDER, 5.0, TrafficDirection.ONE_WAY, "long")
         assert [other for _, other in net.out_edges(1)] == [0, 2]
         assert net.out_edges(2) == ()
-        assert [e for _, e in net.edges_near(probe, 50.0)] == [long_edge]
+        assert [e for _, _, e in net.edges_near(probe, 50.0)] == [long_edge]
 
     def test_out_edges_is_an_immutable_shared_tuple(self, micro_network):
         out = micro_network.out_edges(4)
@@ -190,3 +193,63 @@ class TestCachedIndexes:
         assert net.edges_near(CENTER, 100.0) == []
         net.add_node(CENTER)
         assert net.edges_near(CENTER, 100.0) == []
+
+    def test_negative_radius_rejected(self, micro_network):
+        with pytest.raises(GeometryError):
+            micro_network.edges_near(CENTER, -1.0)
+
+
+# Coordinates in metres: exact multiples of the 250 m cell, so that nodes
+# and probes sit on cell boundaries, or anywhere in a 4 km square, so that
+# edges span several cells.
+_coord = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * 250.0),
+    st.floats(-2_000.0, 2_000.0, allow_nan=False),
+)
+_xy = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _networks(draw):
+    """Node positions (metres) and the node-index pairs of the edges."""
+    nodes = draw(st.lists(_xy, min_size=2, max_size=8, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, len(nodes) - 1), st.integers(0, len(nodes) - 1))
+        .filter(lambda pair: pair[0] != pair[1]),
+        max_size=12,
+    ))
+    return nodes, pairs
+
+
+class TestEdgesNearProperties:
+    """The one-cell edge index answers exactly as the midpoint-grid scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _networks(),
+        st.lists(_xy, min_size=1, max_size=4),
+        st.lists(st.floats(0.0, 600.0), min_size=1, max_size=3),
+    )
+    def test_matches_midpoint_scan_and_sees_added_edges(self, graph, probes_xy, radii):
+        nodes, pairs = graph
+        projector = LocalProjector(CENTER)
+        net = RoadNetwork(projector)
+        for x, y in nodes + probes_xy:
+            net.add_node(projector.to_point(x, y))
+        for u, v in pairs:
+            net.add_edge(u, v, RoadGrade.FEEDER, 5.0, TrafficDirection.TWO_WAY, "e")
+        probes = [projector.to_point(x, y) for x, y in probes_xy]
+        reference = MidpointEdgeQuery(net)
+        for probe in probes:
+            for radius in radii:
+                assert net.edges_near(probe, radius) == reference.edges_near(probe, radius)
+        # An edge from the first probe's own node: every cached radius must
+        # drop its index and report it at distance 0.
+        spur = net.add_edge(
+            len(nodes), 0, RoadGrade.FEEDER, 5.0, TrafficDirection.TWO_WAY, "spur"
+        )
+        reference = MidpointEdgeQuery(net)
+        for radius in radii:
+            hits = net.edges_near(probes[0], radius)
+            assert spur in [edge for _, _, edge in hits]
+            assert hits == reference.edges_near(probes[0], radius)

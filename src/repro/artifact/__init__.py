@@ -17,9 +17,10 @@ parent trained without re-training or sharing memory:
   mid-write never leaves a corrupt artifact behind;
 * :func:`artifact_info` — path, format, version and fingerprint without
   rebuilding the model;
-* :func:`cached_stmaker` — a per-process cache keyed by
-  ``(path, fingerprint)``: N shards served by one worker process load
-  and rebuild the model exactly once;
+* :func:`cached_stmaker` — a per-process cache holding one model per
+  path, checked against its fingerprint: N shards served by one worker
+  process load and rebuild the model exactly once, and a model
+  re-published under the same path replaces the old one;
 * :func:`ensure_artifact` — parent-side helper that persists an
   in-memory ``STMaker`` to a session-scoped temp artifact (memoized per
   model object), which is how ``executor="process"`` serving ships a

@@ -342,7 +342,8 @@ def load_artifact(
 # -- per-process cache ---------------------------------------------------------
 
 _cache_lock = threading.Lock()
-_cache: dict[tuple[str, str], object] = {}
+#: realpath -> (fingerprint, STMaker): one model per file.
+_cache: dict[str, tuple[str, object]] = {}
 
 
 def cached_stmaker(
@@ -350,34 +351,37 @@ def cached_stmaker(
     fingerprint: str | None = None,
     registry: FeatureRegistry | None = None,
 ):
-    """The STMaker for *path*, loaded at most once per process.
+    """The STMaker for *path*, loaded once per process and fingerprint.
 
-    The cache key is ``(realpath, fingerprint)``: re-publishing a new
-    model under the same filename is a cache miss (new fingerprint),
-    while N shards handed to one worker process all share a single load.
-    When *fingerprint* is given, the file's fingerprint must match — a
-    worker handed a stale reference fails loudly instead of serving a
-    different model than its parent intended.
+    The cache holds one model per real path: N shards handed to one
+    worker process share a single load, and re-publishing a new model
+    under the same filename is a miss (new fingerprint) whose load
+    replaces the old model.  A process worker lives across batches, so
+    this keeps its memory at one model per artifact file however often
+    the file is re-published.  When *fingerprint* is given, the file's
+    fingerprint must match — a worker handed a stale reference fails
+    loudly instead of serving a different model than its parent
+    intended.
     """
     real = os.path.realpath(os.fspath(path))
     if fingerprint is not None:
-        key = (real, fingerprint)
         with _cache_lock:
-            hit = _cache.get(key)
-        if hit is not None:
+            hit = _cache.get(real)
+        if hit is not None and hit[0] == fingerprint:
             metrics().counter("artifact.cache.hits").inc()
-            return hit
+            return hit[1]
     stmaker, info = load_artifact(path, registry=registry)
     if fingerprint is not None and info.fingerprint != fingerprint:
         raise ArtifactError(
             f"{path}: expected fingerprint {fingerprint}, "
             f"file has {info.fingerprint}"
         )
-    key = (real, info.fingerprint)
     with _cache_lock:
-        cached = _cache.setdefault(key, stmaker)
+        hit = _cache.get(real)
+        if hit is None or hit[0] != info.fingerprint:
+            hit = _cache[real] = (info.fingerprint, stmaker)
     metrics().counter("artifact.cache.misses").inc()
-    return cached
+    return hit[1]
 
 
 def artifact_cache_size() -> int:

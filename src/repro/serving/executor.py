@@ -21,7 +21,11 @@ For the process executor the division of labour is:
 * each **worker process** resets any obs state inherited over ``fork``
   (an inherited JSONL sink would double-write the parent's file),
   installs fresh sinks, rebuilds the STMaker once per process via
-  :func:`repro.artifact.cached_stmaker`, and runs :func:`run_shard`;
+  :func:`repro.artifact.cached_stmaker`, and runs :func:`run_shard`.
+  A worker outlives the call: the supervisor keeps its pool for the
+  caller's next batch (:mod:`repro.serving.supervisor`), so the loaded
+  model, its network's search trees and its edge index serve every
+  later shard, and the obs reset runs again after each shard;
 * the worker returns a :class:`ShardResult`: the outcomes plus its
   telemetry as records — a metrics snapshot (a delta from zero), its
   :class:`~repro.obs.SpanRecord` s and its
@@ -40,7 +44,11 @@ the pool's worker processes are forked before its manager thread starts),
 ``forkserver`` once any other thread is alive (forking a multi-threaded
 parent is unsafe and deprecated in CPython 3.12+ — this covers a batch
 submitted from a server consumer thread).  Override with
-``REPRO_MP_START_METHOD``.
+``REPRO_MP_START_METHOD``.  The rule is applied when a pool starts, and
+a pool keeps its start method for life.  An idle pool's manager and
+feeder threads count as live threads, so a pool started while another
+one is idle (a second worker count, a concurrent caller) uses
+``forkserver``.
 """
 
 from __future__ import annotations

@@ -381,10 +381,11 @@ def _run_in_processes(
     shard_retry: ShardRetryPolicy | None,
     max_in_flight: int | None,
 ) -> list[ShardResult]:
-    """Serve *tasks* on a supervised ProcessPoolExecutor.
+    """Serve *tasks* on a supervised, long-lived ProcessPoolExecutor.
 
-    The supervisor (:mod:`repro.serving.supervisor`) owns the pool:
-    worker death never surfaces as ``BrokenProcessPool`` here — lost
+    The supervisor (:mod:`repro.serving.supervisor`) owns the pool and
+    keeps it warm for the caller's next batch.  Worker death never
+    surfaces as ``BrokenProcessPool`` here — lost
     shards are retried, bisected, and at worst quarantined, while
     completed shards fold in completion order (the runner's reassembly
     restores item order regardless).  In strict mode the first

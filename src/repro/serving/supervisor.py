@@ -20,8 +20,8 @@ bounded* event:
    **serialized recovery** (one shard in flight) where every subsequent
    crash is exactly attributable.  This can never quarantine a healthy
    shard on circumstantial evidence.
-3. **Retry → bisect → quarantine** — a charged shard is retried on a
-   fresh pool under the bounded :class:`ShardRetryPolicy` (attempts,
+3. **Retry → bisect → quarantine** — a charged shard is retried on the
+   replacement pool under the bounded :class:`ShardRetryPolicy` (attempts,
    deterministic geometric backoff; each run gets the full per-shard
    deadline as always).  A shard that keeps killing workers is
    **bisected**: its halves re-enter the queue with a fresh attempt
@@ -48,12 +48,29 @@ Everything reports through the standard obs surface: ``shard_retry``
 events (actions ``retry``/``bisect``/``requeue``/``quarantine``), the
 ``serving.crashes`` / ``serving.retried_shards`` / ``serving.bisected_shards``
 counters, and the run report's "Failure containment" section.
+
+**Pool lifetime.**  A pool outlives the call that created it, so its
+workers keep the model they loaded, the network's search trees and its
+edge index for the next batch.  The calling process holds idle pools,
+one list per worker count, and each call **checks one out
+exclusively**: concurrent callers (say, two server consumers) never
+share a pool, so one caller's poison can only break its own pool and
+attribution stays exact.  A pool is **checked back in** only when its
+call ended with nothing in flight.  A broken pool is shut down and
+joined, then replaced; a hung pool is killed; a pool left by an
+exception (a strict-mode raise) is dropped; an idle pool whose worker
+died in the meantime is killed at the next checkout.  A forked child
+starts with no idle pools (they belong to the parent).  Idle pools end
+at interpreter exit through ``concurrent.futures``' own exit hook,
+which joins their workers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import os
+import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from concurrent.futures import ProcessPoolExecutor
@@ -173,7 +190,7 @@ def supervise_process_shards(
     serialize = False
     m = metrics()
     hang_window = policy.hang_window_s(deadline_s)
-    pool = _new_pool(workers)
+    pool = _checkout(workers)
 
     def charge(unit: _Unit, reason: str) -> None:
         """The retry → bisect → quarantine ladder for an attributed loss."""
@@ -309,7 +326,7 @@ def supervise_process_shards(
                     # caller's contract is "first failure in shard order",
                     # so let the other in-flight shards settle and raise
                     # the lowest-shard-id failure among them.
-                    _raise_first_by_shard_order(exc, unit, pending, pool)
+                    _raise_first_by_shard_order(exc, unit, pending)
                 else:
                     if breaker is not None:
                         breaker.record_success()
@@ -317,22 +334,24 @@ def supervise_process_shards(
             if broken:
                 # The pool is broken; its remaining futures settle fast
                 # (the executor fails them all).  Let them, keep finished
-                # work, replace the pool, and attribute the loss.
+                # work, replace the pool, and attribute the loss.  Joining
+                # the broken pool ends its manager and feeder threads, so
+                # a single-threaded caller's replacement still forks.
                 if pending:
                     wait(list(pending), timeout=policy.settle_timeout_s)
                 lost.extend(drain_settled("crash"))
-                pool.shutdown(wait=False, cancel_futures=True)
+                pool.shutdown(wait=True, cancel_futures=True)
                 pool = _new_pool(workers)
                 handle_incident(lost, "crash")
-    finally:
+    except BaseException:
+        # Shards may still be in flight: this pool serves no other call.
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    _checkin(pool, workers)
 
 
 def _raise_first_by_shard_order(
-    exc: Exception,
-    unit: _Unit,
-    pending: dict[Future, _Unit],
-    pool: ProcessPoolExecutor,
+    exc: Exception, unit: _Unit, pending: dict[Future, _Unit]
 ) -> None:
     """Abort with the lowest-shard-id worker exception, as serial would.
 
@@ -355,7 +374,6 @@ def _raise_first_by_shard_order(
                 continue
             except Exception as other_exc:
                 failures.append((other.task.shard_id, other_exc))
-    pool.shutdown(wait=False, cancel_futures=True)
     raise min(failures, key=lambda pair: pair[0])[1]
 
 
@@ -390,8 +408,50 @@ def _new_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, mp_context=mp_context())
 
 
+_idle_lock = threading.Lock()
+#: Pools between calls, by worker count.  A call owns its pool outright
+#: from :func:`_checkout` until :func:`_checkin`.
+_idle_pools: dict[int, list[ProcessPoolExecutor]] = {}
+
+
+def _checkout(workers: int) -> ProcessPoolExecutor:
+    """Take an idle pool of *workers* processes, or start a new one.
+
+    An idle pool whose worker died since its last call (an OOM kill, an
+    operator's ``kill``) is killed instead of handed out: a healthy shard
+    must never be charged for a death that happened before it ran.
+    """
+    while True:
+        with _idle_lock:
+            pools = _idle_pools.get(workers)
+            pool = pools.pop() if pools else None
+        if pool is None:
+            return _new_pool(workers)
+        if not pool._broken and all(
+            process.is_alive() for process in pool._processes.values()
+        ):
+            return pool
+        _kill_pool(pool)
+
+
+def _checkin(pool: ProcessPoolExecutor, workers: int) -> None:
+    """Return a pool whose call ended clean, for the next call to reuse."""
+    with _idle_lock:
+        _idle_pools.setdefault(workers, []).append(pool)
+
+
+def _forget_idle_pools() -> None:
+    """Fork hook: a child does not own its parent's pools or their lock."""
+    global _idle_lock
+    _idle_lock = threading.Lock()
+    _idle_pools.clear()
+
+
+os.register_at_fork(after_in_child=_forget_idle_pools)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool whose workers stopped making progress.
+    """Terminate a hung pool, or an idle one that lost a worker.
 
     Reaches into the executor's live worker table (no public API exposes
     it) to SIGTERM the stuck processes before shutdown; shutdown alone

@@ -191,15 +191,17 @@ def test_cached_stmaker_loads_once_per_fingerprint(stmaker, tmp_path):
     assert first is second
     assert artifact_cache_size() == 1
 
-    # Republishing different content under the same path is a new entry,
-    # not a stale hit.
+    # Republishing different content under the same path is a miss, not
+    # a stale hit, and the new model replaces the old one: a long-lived
+    # worker holds one model per artifact file.
     import dataclasses
     sibling = stmaker.with_config(dataclasses.replace(stmaker.config, ca=0.33))
     new_info = save_artifact(sibling, path)
     assert new_info.fingerprint != info.fingerprint
     third = cached_stmaker(path, new_info.fingerprint)
     assert third is not first
-    assert artifact_cache_size() == 2
+    assert artifact_cache_size() == 1
+    assert cached_stmaker(path, new_info.fingerprint) is third
     artifact_cache_clear()
     assert artifact_cache_size() == 0
 

@@ -1,7 +1,11 @@
 """Soak: many requests, several tenants, zero lost or duplicated responses.
 
 ``SERVER_SOAK_REQUESTS`` scales the run (default small for the tier-1
-suite; CI's server job sets ``>= 500``).  Four tenants with skewed
+suite; CI's server job sets ``>= 500``).  ``SERVING_TEST_EXECUTOR`` /
+``SERVING_TEST_WORKERS`` shape the pool each request is served with
+(default: the thread executor; CI runs both executors with 4 workers,
+so under ``process`` the two consumers each hold a warm pool of their
+own for the whole run).  Four tenants with skewed
 weights submit concurrently while two consumers drain; every handle must
 settle exactly once with the bytes of its corpus — cross-checked three
 ways: per-handle results against precomputed direct ``summarize_many``
@@ -20,6 +24,8 @@ from repro import obs
 from repro.server import ServerConfig, SummarizationServer
 
 SOAK_REQUESTS = int(os.environ.get("SERVER_SOAK_REQUESTS", "40"))
+WORKERS = int(os.environ.get("SERVING_TEST_WORKERS", "1"))
+EXECUTOR = os.environ.get("SERVING_TEST_EXECUTOR", "thread")
 TENANTS = ("alpha", "beta", "gamma", "delta")
 RESULT_TIMEOUT_S = 900.0
 
@@ -44,6 +50,8 @@ def test_soak_exactly_once(scenario):
         max_queue_requests=SOAK_REQUESTS + 8,
         tenant_weights={"alpha": 4, "beta": 2},
         consumers=2,
+        workers=WORKERS,
+        executor=EXECUTOR,
     )
     handles = []
     handles_lock = threading.Lock()

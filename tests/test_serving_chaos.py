@@ -23,7 +23,12 @@ cannot change which items die.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from repro import obs
 from repro.exceptions import WorkerCrashError
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import FaultInjector, FaultSpec
-from repro.serving import ShardRetryPolicy
+from repro.serving import ShardRetryPolicy, supervisor
 from repro.trajectory import RawTrajectory
 
 #: Worker count of the parallel side (CI matrix 1/4).
@@ -316,3 +321,177 @@ class TestChaosDifferential:
         # No containment machinery fired on a healthy batch.
         assert registry.get("serving.crashes") is None
         assert registry.get("serving.retried_shards") is None
+
+
+# -- warm pools: reuse across calls never weakens containment -----------------
+
+
+def _idle(workers: int) -> list:
+    with supervisor._idle_lock:
+        return list(supervisor._idle_pools.get(workers, ()))
+
+
+def _count(registry: MetricsRegistry, name: str) -> float:
+    metric = registry.get(name)
+    return metric.value if metric is not None else 0.0
+
+
+@pytest.fixture()
+def no_idle_pools():
+    """Start with no idle pools, so every pool a test sees is its own."""
+    with supervisor._idle_lock:
+        pools = [p for group in supervisor._idle_pools.values() for p in group]
+        supervisor._idle_pools.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+class TestWarmPool:
+    def test_crash_replaces_the_pool_and_the_next_batch_runs_warm(
+        self, stmaker, corpus, clean_obs, no_idle_pools
+    ):
+        """Clean, poison, clean, clean on one-worker pools.  The poison is
+        contained as on a fresh pool; its crash replaces the warm pool,
+        whose worker is joined; the replacement's worker loads the
+        artifact exactly once, and a warm pool loads nothing.  (A worker
+        that crashes takes its telemetry with it, so only the surviving
+        pool's loads are countable.)"""
+        serial = stmaker.summarize_many(corpus, k=2)
+        poison = corpus[3].trajectory_id
+
+        def run(*poisons: str):
+            registry = obs.enable_metrics(MetricsRegistry())
+            try:
+                with FaultInjector(_crash_specs(*poisons)).installed(stmaker):
+                    batch = stmaker.summarize_many(
+                        corpus, k=2, workers=1, shard_size=2,
+                        executor="process", shard_retry=FAST_RETRY,
+                    )
+            finally:
+                obs.disable_metrics()
+            return batch, registry
+
+        first, registry = run()
+        assert first.ok_count == len(corpus)
+        assert _count(registry, "artifact.loads") == 1.0
+        [warm] = _idle(1)
+        warm_pids = set(warm._processes)
+
+        chaotic, registry = run(poison)
+        assert _verdicts(chaotic) == {(3, poison, "WorkerCrashError")}
+        _assert_healthy_match_serial(serial, chaotic, {poison})
+        assert _count(registry, "serving.crashes") >= 1.0
+        [replacement] = _idle(1)
+        assert replacement is not warm
+        # A pool starts its worker at its first shard.
+        started_in_poison_batch = bool(replacement._processes)
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert not warm_pids & live, "the broken pool's worker was joined"
+
+        third, registry = run()
+        assert third.quarantined == serial.quarantined
+        assert [s.text for s in third.summaries] == [
+            s.text for s in serial.summaries
+        ]
+        assert [s.partitions for s in third.summaries] == [
+            s.partitions for s in serial.summaries
+        ]
+        # The replacement worker loads the artifact once, in whichever
+        # batch it first ran.
+        assert _count(registry, "artifact.loads") == (
+            0.0 if started_in_poison_batch else 1.0
+        )
+        assert _idle(1) == [replacement]
+
+        _, registry = run()
+        assert _count(registry, "artifact.loads") == 0.0
+        assert _idle(1) == [replacement]
+
+    def test_idle_pool_that_lost_a_worker_is_not_handed_out(
+        self, stmaker, corpus, clean_obs, no_idle_pools
+    ):
+        """A worker killed while its pool sits idle (the OOM killer) must
+        not cost the next call anything: that call runs strict with no
+        retries, so a charge or a ``BrokenProcessPool`` would raise."""
+        stmaker.summarize_many(
+            corpus[:4], k=2, workers=2, shard_size=1, executor="process"
+        )
+        [pool] = _idle(2)
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        for _ in range(100):
+            if not victim.is_alive():
+                break
+            time.sleep(0.05)
+        batch = stmaker.summarize_many(
+            corpus[:4], k=2, workers=2, shard_size=1, executor="process",
+            shard_retry=NO_RETRY, strict=True,
+        )
+        assert batch.ok_count == 4
+        [fresh] = _idle(2)
+        assert fresh is not pool
+
+    def test_concurrent_callers_never_share_a_pool(
+        self, stmaker, corpus, clean_obs, no_idle_pools
+    ):
+        """Two threads run process batches at once while one warm pool is
+        idle; only A's batch holds a poison.  B runs strict with no
+        retries on one-item shards, so a single charge against any of its
+        shards would raise: it must come back whole, because only one of
+        the two calls gets the idle pool and the other starts its own."""
+        stmaker.summarize_many(
+            corpus[:2], k=2, workers=2, shard_size=1, executor="process"
+        )
+        assert len(_idle(2)) == 1
+        poisoned = stmaker.with_config(stmaker.config)
+        poison = corpus[1].trajectory_id
+        barrier = threading.Barrier(2)
+        results: dict[str, object] = {}
+
+        def call(name: str, fn) -> None:
+            barrier.wait()
+            try:
+                results[name] = fn()
+            except Exception as exc:  # reported by the assertions below
+                results[name] = exc
+
+        with FaultInjector(_crash_specs(poison)).installed(poisoned):
+            threads = [
+                threading.Thread(target=call, args=("a", lambda: poisoned.summarize_many(
+                    corpus[:4], k=2, workers=2, shard_size=1,
+                    executor="process", shard_retry=NO_RETRY,
+                ))),
+                threading.Thread(target=call, args=("b", lambda: stmaker.summarize_many(
+                    corpus, k=2, workers=2, shard_size=1,
+                    executor="process", shard_retry=NO_RETRY, strict=True,
+                ))),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+
+        a, b = results["a"], results["b"]
+        assert not isinstance(b, Exception), b
+        assert b.ok_count == len(corpus) and b.quarantined == []
+        assert not isinstance(a, Exception), a
+        assert _verdicts(a) == {(1, poison, "WorkerCrashError")}
+        assert len(_idle(2)) == 2
+
+    def test_forked_child_starts_with_no_idle_pools(self, stmaker, corpus):
+        stmaker.summarize_many(corpus[:2], k=2, workers=2, executor="process")
+        assert _idle(2)
+        with warnings.catch_warnings():
+            # The idle pool's threads are alive; the child touches none.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if not any(supervisor._idle_pools.values()) else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert _idle(2), "the parent keeps its pool"

@@ -10,8 +10,20 @@ cannot cross a process boundary.
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro import obs
 from repro.exceptions import ConfigError
@@ -211,3 +223,74 @@ class TestDefaultPoolShape:
                 [e.kind for e in log if e.kind in ("shard_start", "shard_end")]
             )
         assert shard_events == [[], []]
+
+
+#: A script with no ``if __name__ == "__main__"`` guard that runs two
+#: process batches at module level: argv is the artifact and the pickled
+#: trips; it prints each batch's verdict counts and live pool children.
+UNGUARDED_SCRIPT = """
+import json, multiprocessing, pickle, sys
+from repro.artifact import load_artifact
+stmaker, _ = load_artifact(sys.argv[1])
+with open(sys.argv[2], "rb") as handle:
+    trips = pickle.load(handle)
+report = []
+for _ in range(2):
+    batch = stmaker.summarize_many(trips, k=2, workers=2, executor="process")
+    report.append({
+        "ok": batch.ok_count,
+        "quarantined": len(batch.quarantined),
+        "children": sorted(p.pid for p in multiprocessing.active_children()),
+    })
+print(json.dumps(report))
+"""
+
+
+class TestWarmPoolAcrossCalls:
+    def test_unguarded_script_runs_two_process_batches(
+        self, stmaker, trips, tmp_path
+    ):
+        """The second batch of a single-threaded script reuses the first
+        batch's workers.  (A pool per call left the first pool's threads
+        alive, so the second pool started under ``forkserver``, which
+        re-imports the unguarded ``__main__`` in its workers.)"""
+        from repro.artifact import save_artifact
+
+        artifact = tmp_path / "model.stm"
+        save_artifact(stmaker, artifact)
+        trips_file = tmp_path / "trips.pkl"
+        trips_file.write_bytes(pickle.dumps(trips[:4]))
+        script = tmp_path / "two_batches.py"
+        script.write_text(UNGUARDED_SCRIPT)
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        env.pop("REPRO_MP_START_METHOD", None)
+        out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+        # Files, not pipes, and a process group of its own: whatever the
+        # script leaves running can neither hold the test's pipes open nor
+        # outlive the test.
+        with out.open("w") as stdout, err.open("w") as stderr:
+            script_run = subprocess.Popen(
+                [sys.executable, str(script), str(artifact), str(trips_file)],
+                env=env, cwd=tmp_path, stdout=stdout, stderr=stderr,
+                start_new_session=True,
+            )
+        try:
+            returncode = script_run.wait(timeout=300)
+            leftovers = True
+            for _ in range(100):
+                try:
+                    os.killpg(script_run.pid, 0)
+                except ProcessLookupError:
+                    leftovers = False
+                    break
+                time.sleep(0.1)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(script_run.pid, signal.SIGKILL)
+        assert returncode == 0, err.read_text()
+        first, second = json.loads(out.read_text().splitlines()[-1])
+        for batch in (first, second):
+            assert (batch["ok"], batch["quarantined"]) == (4, 0)
+        assert len(first["children"]) == 2
+        assert second["children"] == first["children"]
+        assert not leftovers, "the script's workers outlived it"

@@ -122,55 +122,80 @@ def detect_u_turns(
     window of ``window_m`` metres; a U-turn is flagged where the windowed
     heading before and after a sample differ by at least the threshold.
     Nearby reversals (a multi-point turn) merge into a single event.
+
+    Each step between smoothed samples is measured once, and each window
+    ``(first sample, last sample)`` gets its heading once: the window
+    leaving one sample is often the window entering the next.
     """
     config = config or UTurnConfig()
     n = len(points)
     if n < 3:
         return []
-    points = _smooth_positions(points, projector, config.smoothing_samples)
+    geo = _smooth_positions(points, projector, config.smoothing_samples)
+    times = [p.t for p in points]
+    distance = projector.distance_m
+    # distance_m is symmetric to the bit, so one measure serves both
+    # walking directions.
+    steps = [distance(a, b) for a, b in zip(geo, geo[1:])]
+    window = config.window_m
+    min_net = max(config.min_step_m, 0.5 * window)
+    headings: dict[tuple[int, int], float | None] = {}
 
-    # Windowed heading *entering* each sample and *leaving* each sample.
-    def window_heading(idx: int, forward: bool) -> float | None:
-        anchor = points[idx].point
-        walked = 0.0
-        step = 1 if forward else -1
-        j = idx
-        while 0 <= j + step < n:
-            nxt = points[j + step]
-            walked += projector.distance_m(points[j].point, nxt.point)
-            j += step
-            if walked >= config.window_m:
-                break
+    def heading(first: int, last: int) -> float | None:
+        """Bearing from sample *first* to sample *last*, or ``None``."""
+        key = (first, last)
+        if key in headings:
+            return headings[key]
         # Guard against the classic false positive at stay points: while
         # parked, GPS jitter accumulates path length but no displacement and
         # no speed, and the resulting headings are pure noise.  A genuine
         # U-turn has both a substantial net displacement across the window
         # and sustained movement through it.
-        net = projector.distance_m(anchor, points[j].point)
-        if net < max(config.min_step_m, 0.5 * config.window_m):
-            return None
-        elapsed = abs(points[j].t - points[idx].t)
-        if elapsed > 0.0 and net / elapsed < config.min_window_speed_ms:
-            return None
-        if forward:
-            return bearing_deg(anchor, points[j].point)
-        return bearing_deg(points[j].point, anchor)
+        a, b = geo[first], geo[last]
+        net = distance(a, b)
+        elapsed = abs(times[last] - times[first])
+        if net < min_net or (
+            elapsed > 0.0 and net / elapsed < config.min_window_speed_ms
+        ):
+            bearing = None
+        else:
+            bearing = bearing_deg(a, b)
+        headings[key] = bearing
+        return bearing
 
     events: list[UTurn] = []
     for i in range(1, n - 1):
-        before = window_heading(i, forward=False)
-        after = window_heading(i, forward=True)
-        if before is None or after is None:
+        # The window entering sample i: walk back until window_m is covered.
+        walked = 0.0
+        first = i
+        while first > 0:
+            first -= 1
+            walked += steps[first]
+            if walked >= window:
+                break
+        before = heading(first, i)
+        if before is None:
+            continue
+        # The window leaving sample i.
+        walked = 0.0
+        last = i
+        while last < n - 1:
+            walked += steps[last]
+            last += 1
+            if walked >= window:
+                break
+        after = heading(i, last)
+        if after is None:
             continue
         change = heading_change_deg(before, after)
         if change < config.angle_threshold_deg:
             continue
-        if events and points[i].t - events[-1].t <= config.merge_gap_s:
+        if events and times[i] - events[-1].t <= config.merge_gap_s:
             # Same physical turn: keep the sharpest sample as the event.
             if change > events[-1].heading_change_deg:
-                events[-1] = UTurn(points[i].point, points[i].t, change)
+                events[-1] = UTurn(geo[i], times[i], change)
             continue
-        events.append(UTurn(points[i].point, points[i].t, change))
+        events.append(UTurn(geo[i], times[i], change))
     return events
 
 
@@ -178,23 +203,25 @@ def _smooth_positions(
     points: Sequence[TrajectoryPoint],
     projector: LocalProjector,
     window: int,
-) -> list[TrajectoryPoint]:
-    """Centred moving average over positions; timestamps are preserved.
+) -> list[GeoPoint]:
+    """Centred moving average over positions, one point per sample.
 
     Averaging ``w`` samples shrinks GPS noise by ``sqrt(w)``, which is what
     makes heading estimation usable near stay points.
     """
     if window <= 1 or len(points) < 3:
-        return list(points)
+        return [p.point for p in points]
     xys = [projector.to_xy(p.point) for p in points]
+    xs = [x for x, _ in xys]
+    ys = [y for _, y in xys]
+    n = len(points)
     half = window // 2
     out = []
-    for i, p in enumerate(points):
+    for i in range(n):
         lo = max(0, i - half)
-        hi = min(len(points), i + half + 1)
-        x = sum(xy[0] for xy in xys[lo:hi]) / (hi - lo)
-        y = sum(xy[1] for xy in xys[lo:hi]) / (hi - lo)
-        out.append(TrajectoryPoint(projector.to_point(x, y), p.t))
+        hi = min(n, i + half + 1)
+        width = hi - lo
+        out.append(projector.to_point(sum(xs[lo:hi]) / width, sum(ys[lo:hi]) / width))
     return out
 
 

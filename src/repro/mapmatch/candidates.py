@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.geo import GeoPoint
-from repro.roadnet import EdgeId, RoadNetwork
+from repro.roadnet import EdgeId, RoadEdge, RoadNetwork
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,6 +22,20 @@ class Candidate:
     distance_m: float
 
 
+def nearest_edges(
+    network: RoadNetwork,
+    point: GeoPoint,
+    radius_m: float,
+    max_candidates: int,
+) -> list[tuple[float, float, RoadEdge]]:
+    """The *max_candidates* nearest edges within *radius_m* of *point*.
+
+    Returns :meth:`RoadNetwork.edges_near` hits ``(distance_m, fraction,
+    edge)``, nearest first; equal distances keep ``edges_near`` order.
+    """
+    return sorted(network.edges_near(point, radius_m), key=itemgetter(0))[:max_candidates]
+
+
 def candidates_for_point(
     network: RoadNetwork,
     point: GeoPoint,
@@ -32,8 +46,7 @@ def candidates_for_point(
 
     Equal distances keep :meth:`RoadNetwork.edges_near` order.
     """
-    hits = sorted(network.edges_near(point, radius_m), key=itemgetter(0))
     return [
         Candidate(edge.edge_id, fraction, dist)
-        for dist, fraction, edge in hits[:max_candidates]
+        for dist, fraction, edge in nearest_edges(network, point, radius_m, max_candidates)
     ]

@@ -8,8 +8,10 @@ decoding yields the most probable road sequence.
 
 Route distances between consecutive candidates come from bounded Dijkstra
 searches launched from the distinct exit nodes of the current candidate set.
-Each stage pair's route matrix is computed once, both to detect chain breaks
-and to drive the Viterbi step.  Search trees are cached on the road network
+Each stage's candidates become route endpoints once, and each stage pair's
+matrix of transition log-probabilities (``-inf`` where no route lies within
+the bound) is computed once, both to detect chain breaks and to drive the
+Viterbi step.  Search trees are cached on the road network
 (:meth:`RoadNetwork.search_trees`), so every ``match`` call, on any thread,
 reuses a node's tree for any pair whose bound is no larger: a bounded search
 settles nodes in the same order, with the same float sums, as a larger-bound
@@ -25,7 +27,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from repro.exceptions import MapMatchError
-from repro.mapmatch.candidates import Candidate, candidates_for_point
+from repro.mapmatch.candidates import nearest_edges
 from repro.obs import span
 from repro.roadnet import (
     EdgeId,
@@ -36,6 +38,27 @@ from repro.roadnet import (
     dijkstra_all,
 )
 from repro.trajectory.model import TrajectoryPoint
+
+#: A candidate road position: :meth:`RoadNetwork.edges_near`'s
+#: ``(distance_m, fraction, edge)``.
+_Hit = tuple[float, float, RoadEdge]
+
+#: A candidate as a route source: ``(exits, edge_id, fraction, length_m,
+#: two_way)``, with ``exits`` the ``(node, cost from the candidate to the
+#: node)`` it can leave by.
+_Source = tuple[tuple[tuple[NodeId, float], ...], EdgeId, float, float, bool]
+
+#: One stage's candidates as route endpoints, built once per stage:
+#: ``(sources, exit_nodes, entries, on_edge)``, that is each candidate's
+#: :data:`_Source`, the exit nodes once each, each node a candidate can be
+#: entered from with its ``(column, cost from the node to the candidate)``
+#: options, and each edge id's candidates as ``(column, fraction)``.
+_StageOptions = tuple[
+    list[_Source],
+    tuple[NodeId, ...],
+    tuple[tuple[NodeId, list[tuple[int, float]]], ...],
+    dict[EdgeId, list[tuple[int, float]]],
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,88 +168,111 @@ class HMMMapMatcher:
         """
         if not points:
             raise MapMatchError("cannot match an empty sample sequence")
-        stages: list[tuple[int, list[Candidate]]] = []
+        # Stages as (sample index, its candidates as edges_near hits).
+        stages: list[tuple[int, list[_Hit]]] = []
         breaks: list[int] = []
         with span("mapmatch.candidates"):
             for i, sample in enumerate(points):
-                cands = candidates_for_point(
+                hits = nearest_edges(
                     self.network, sample.point,
                     self.config.candidate_radius_m, self.config.max_candidates,
                 )
-                if cands:
-                    stages.append((i, cands))
+                if hits:
+                    stages.append((i, hits))
                 else:
                     breaks.append(i)
         if not stages:
             raise MapMatchError("no sample lies near any road")
 
-        # Unbroken chains as (first stage, end stage, route steps).
-        chains: list[tuple[int, int, list[tuple[float, list[list[float]]]]]] = []
+        # Unbroken chains as (first stage, end stage, transition matrices).
+        chains: list[tuple[int, int, list[list[list[float]]]]] = []
         with span("mapmatch.routes") as routes:
+            distance = self.network.projector.distance_m
             searches = 0
             chain_start = 0
-            steps: list[tuple[float, list[list[float]]]] = []
+            matrices: list[list[list[float]]] = []
+            options = [self._stage_options(hits) for _, hits in stages]
             for k in range(1, len(stages)):
-                (ia, cands_a), (ib, cands_b) = stages[k - 1], stages[k]
-                straight = self.network.projector.distance_m(
-                    points[ia].point, points[ib].point
-                )
-                matrix, searched = self._route_distances(cands_a, cands_b, straight)
+                straight = distance(points[stages[k - 1][0]].point, points[stages[k][0]].point)
+                matrix, searched = self._transitions(options[k - 1], options[k], straight)
                 searches += searched
-                if any(cell < math.inf for row in matrix for cell in row):
-                    steps.append((straight, matrix))
+                if max(map(max, matrix)) > -math.inf:
+                    matrices.append(matrix)
                 else:
-                    chains.append((chain_start, k, steps))
-                    breaks.append(ib)
-                    chain_start, steps = k, []
-            chains.append((chain_start, len(stages), steps))
+                    chains.append((chain_start, k, matrices))
+                    breaks.append(stages[k][0])
+                    chain_start, matrices = k, []
+            chains.append((chain_start, len(stages), matrices))
             routes.set_tag("searches", searches)
         matched: list[MatchedPoint] = []
         with span("mapmatch.decode"):
-            for start, end, chain_steps in chains:
-                matched.extend(self._decode(stages[start:end], chain_steps))
+            for start, end, chain_matrices in chains:
+                matched.extend(self._decode(stages[start:end], chain_matrices))
         matched.sort(key=lambda m: m.point_index)
         return MatchResult(matched, sorted(set(breaks)))
 
     # -- internals ----------------------------------------------------------
 
-    def _emission_logp(self, candidate: Candidate) -> float:
-        z = candidate.distance_m / self.config.sigma_z_m
+    def _emission_logp(self, distance_m: float) -> float:
+        z = distance_m / self.config.sigma_z_m
         return -0.5 * z * z
 
-    def _transition_logp(self, route_m: float, straight_m: float) -> float:
-        return -abs(route_m - straight_m) / self.config.beta_m
+    def _stage_options(self, hits: list[_Hit]) -> _StageOptions:
+        """One stage's candidates as route endpoints; see :data:`_StageOptions`."""
+        sources: list[_Source] = []
+        exit_nodes: dict[NodeId, None] = {}
+        entries: dict[NodeId, list[tuple[int, float]]] = {}
+        on_edge: dict[EdgeId, list[tuple[int, float]]] = {}
+        for col, (_, fraction, edge) in enumerate(hits):
+            to_u = fraction * edge.length_m
+            to_v = (1.0 - fraction) * edge.length_m
+            if edge.direction is TrafficDirection.TWO_WAY:
+                exits = ((edge.v, to_v), (edge.u, to_u))
+                enters = ((edge.u, to_u), (edge.v, to_v))
+            else:
+                exits = ((edge.v, to_v),)
+                enters = ((edge.u, to_u),)
+            sources.append((exits, edge.edge_id, fraction, edge.length_m, len(exits) == 2))
+            for node, _ in exits:
+                exit_nodes[node] = None
+            for node, cost in enters:
+                if node in entries:
+                    entries[node].append((col, cost))
+                else:
+                    entries[node] = [(col, cost)]
+            if edge.edge_id in on_edge:
+                on_edge[edge.edge_id].append((col, fraction))
+            else:
+                on_edge[edge.edge_id] = [(col, fraction)]
+        return sources, tuple(exit_nodes), tuple(entries.items()), on_edge
 
-    def _route_distances(
+    def _transitions(
         self,
-        from_cands: list[Candidate],
-        to_cands: list[Candidate],
+        from_stage: _StageOptions,
+        to_stage: _StageOptions,
         straight_m: float,
     ) -> tuple[list[list[float]], int]:
-        """Route distance matrix between two candidate sets (inf = no route).
+        """Transition log-probabilities between two stages' candidates.
 
-        Returns the matrix and the number of searches this call ran.
-        Search trees come from the network's cache; a tree searched to a
-        larger bound serves this one with its costs beyond the bound dropped.
-        Another thread may replace a cached entry at any time, so this call
-        binds the entries it checked and reads only those.
+        Cell ``[i][j]`` is ``-|route - straight| / beta`` for the shortest
+        route from candidate i to candidate j, and ``-inf`` where no route
+        lies within the bound.  Returns the matrix and the number of
+        searches this call ran.  Search trees come from the network's
+        cache; a tree searched to a larger bound serves this one with its
+        costs beyond the bound dropped.  Another thread may replace a
+        cached entry at any time, so this call binds the entries it
+        checked and reads only those.
         """
         network = self.network
-        bound = self.config.route_bound_scale * straight_m + self.config.route_bound_slack_m
+        config = self.config
+        bound = config.route_bound_scale * straight_m + config.route_bound_slack_m
+        sources, exit_nodes = from_stage[0], from_stage[1]
+        entries, on_edge = to_stage[2], to_stage[3]
 
-        # Exit options per from-candidate: (node, cost to reach that node).
-        exits: list[list[tuple[NodeId, float]]] = []
-        exit_nodes: set[NodeId] = set()
-        for c in from_cands:
-            edge = network.edge(c.edge_id)
-            options = [(edge.v, (1.0 - c.fraction) * edge.length_m)]
-            if edge.direction is TrafficDirection.TWO_WAY:
-                options.append((edge.u, c.fraction * edge.length_m))
-            exits.append(options)
-            exit_nodes.update(node for node, _ in options)
-
+        # Per exit node, the to-stage entries its tree reaches within the
+        # bound, as (column, exit node -> entry node cost, entry cost).
         cache = network.search_trees()
-        trees: dict[NodeId, dict[NodeId, float]] = {}
+        reach: dict[NodeId, list[tuple[int, float, float]]] = {}
         searches = 0
         for node in exit_nodes:
             entry = cache.get(node)
@@ -234,87 +280,78 @@ class HMMMapMatcher:
                 entry = (bound, dijkstra_all(network, node, max_cost=bound))
                 cache[node] = entry
                 searches += 1
-            trees[node] = entry[1]
+            tree = entry[1]
+            reached = reach[node] = []
+            for entry_node, options in entries:
+                mid = tree.get(entry_node)
+                if mid is not None and mid <= bound:
+                    for col, entry_cost in options:
+                        reached.append((col, mid, entry_cost))
 
-        # Entry options per to-candidate: (node, cost from that node).
-        entries: list[list[tuple[NodeId, float]]] = []
-        for c in to_cands:
-            edge = network.edge(c.edge_id)
-            options = [(edge.u, c.fraction * edge.length_m)]
-            if edge.direction is TrafficDirection.TWO_WAY:
-                options.append((edge.v, (1.0 - c.fraction) * edge.length_m))
-            entries.append(options)
-
+        size = len(to_stage[0])
+        beta = config.beta_m
         matrix: list[list[float]] = []
-        for a, exit_opts in zip(from_cands, exits):
-            row: list[float] = []
-            edge_a = network.edge(a.edge_id)
-            for b, entry_opts in zip(to_cands, entries):
-                best = math.inf
-                if a.edge_id == b.edge_id:
-                    delta = b.fraction - a.fraction
-                    if edge_a.direction is TrafficDirection.TWO_WAY or delta >= 0.0:
-                        best = abs(delta) * edge_a.length_m
-                for exit_node, exit_cost in exit_opts:
-                    from_costs = trees[exit_node]
-                    for entry_node, entry_cost in entry_opts:
-                        mid = from_costs.get(entry_node)
-                        if mid is None or mid > bound:
-                            continue
-                        best = min(best, exit_cost + mid + entry_cost)
-                row.append(best)
-            matrix.append(row)
+        for exits, edge_id, fraction, length_m, two_way in sources:
+            row = [math.inf] * size
+            same_edge = on_edge.get(edge_id)
+            if same_edge is not None:
+                for col, to_fraction in same_edge:
+                    delta = to_fraction - fraction
+                    if two_way or delta >= 0.0:
+                        row[col] = abs(delta) * length_m
+            for exit_node, exit_cost in exits:
+                for col, mid, entry_cost in reach[exit_node]:
+                    route = exit_cost + mid + entry_cost
+                    if route < row[col]:
+                        row[col] = route
+            # A missing route, inf, becomes -inf.
+            matrix.append([-abs(route - straight_m) / beta for route in row])
         return matrix, searches
 
     def _decode(
         self,
-        stages: list[tuple[int, list[Candidate]]],
-        steps: list[tuple[float, list[list[float]]]],
+        stages: list[tuple[int, list[_Hit]]],
+        matrices: list[list[list[float]]],
     ) -> list[MatchedPoint]:
         """Viterbi over one unbroken chain of stages.
 
-        ``steps[k]`` is ``(straight_m, route matrix)`` from stage k to k + 1.
+        ``matrices[k]`` holds the transition log-probabilities from stage
+        k to stage k + 1 (``-inf`` where no route exists).  Each candidate
+        keeps the first predecessor with the greatest score; one that no
+        predecessor reaches keeps the best predecessor with a heavy
+        penalty, so a chain never silently loses samples.
         """
-        first_cands = stages[0][1]
-        scores = [self._emission_logp(c) for c in first_cands]
-        backptr: list[list[int]] = [[-1] * len(first_cands)]
-
-        for (_, cands_a), (_, cands_b), (straight, matrix) in zip(
-            stages, stages[1:], steps
-        ):
+        emission = self._emission_logp
+        scores = [emission(hit[0]) for hit in stages[0][1]]
+        backptr: list[list[int]] = []
+        for (_, hits), matrix in zip(stages[1:], matrices):
             new_scores: list[float] = []
             pointers: list[int] = []
-            for j, cand_b in enumerate(cands_b):
+            for j, hit in enumerate(hits):
                 best_score = -math.inf
                 best_i = 0
-                for i in range(len(cands_a)):
-                    route = matrix[i][j]
-                    if route == math.inf:
-                        continue
-                    s = scores[i] + self._transition_logp(route, straight)
-                    if s > best_score:
-                        best_score = s
+                for i, score in enumerate(scores):
+                    total = score + matrix[i][j]
+                    if total > best_score:
+                        best_score = total
                         best_i = i
                 if best_score == -math.inf:
-                    # Unreachable candidate: keep it decodable with a heavy
-                    # penalty so a chain never silently loses samples.
                     best_score = max(scores) - 1e6
-                    best_i = int(max(range(len(scores)), key=scores.__getitem__))
-                new_scores.append(best_score + self._emission_logp(cand_b))
+                    best_i = scores.index(max(scores))
+                new_scores.append(best_score + emission(hit[0]))
                 pointers.append(best_i)
             scores = new_scores
             backptr.append(pointers)
 
         # Backtrack.
-        best = int(max(range(len(scores)), key=scores.__getitem__))
-        chosen = [best]
-        for pointers in reversed(backptr[1:]):
+        chosen = [scores.index(max(scores))]
+        for pointers in reversed(backptr):
             chosen.append(pointers[chosen[-1]])
         chosen.reverse()
         out = []
-        for (idx, cands), pick in zip(stages, chosen):
-            c = cands[pick]
-            out.append(MatchedPoint(idx, c.edge_id, c.fraction, c.distance_m))
+        for (idx, hits), pick in zip(stages, chosen):
+            dist, fraction, edge = hits[pick]
+            out.append(MatchedPoint(idx, edge.edge_id, fraction, dist))
         return out
 
 

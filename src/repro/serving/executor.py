@@ -150,10 +150,6 @@ class ShardResult:
     events: tuple[PipelineEvent, ...] = ()
 
 
-def _default_feature_keys() -> frozenset[str]:
-    return frozenset(default_registry(include_speed_change=True).keys())
-
-
 def check_process_compatible(
     stmaker: "STMaker", sleeper: Callable[[float], None]
 ) -> None:
@@ -165,10 +161,8 @@ def check_process_compatible(
     here, in the parent, instead of a cryptic pickling error from the
     pool's feeder thread.
     """
-    custom = [
-        key for key in stmaker.registry.keys()
-        if key not in _default_feature_keys()
-    ]
+    default_keys = frozenset(default_registry(include_speed_change=True).keys())
+    custom = [key for key in stmaker.registry.keys() if key not in default_keys]
     if custom:
         raise ConfigError(
             f"executor='process' cannot ship custom feature definitions "

@@ -57,12 +57,13 @@ exclusively**: concurrent callers (say, two server consumers) never
 share a pool, so one caller's poison can only break its own pool and
 attribution stays exact.  A pool is **checked back in** only when its
 call ended with nothing in flight.  A broken pool is shut down and
-joined, then replaced; a hung pool is killed; a pool left by an
-exception (a strict-mode raise) is dropped; an idle pool whose worker
-died in the meantime is killed at the next checkout.  A forked child
-starts with no idle pools (they belong to the parent).  Idle pools end
-at interpreter exit through ``concurrent.futures``' own exit hook,
-which joins their workers.
+joined, then replaced, also when it breaks between two submits (the
+shard whose submit raised never ran and goes back uncharged); a hung
+pool is killed; a pool left by an exception (a strict-mode raise) is
+dropped; an idle pool whose worker died in the meantime is killed at
+the next checkout.  A forked child starts with no idle pools (they
+belong to the parent).  Idle pools end at interpreter exit through
+``concurrent.futures``' own exit hook, which joins their workers.
 """
 
 from __future__ import annotations
@@ -253,6 +254,8 @@ def supervise_process_shards(
         if len(lost) == 1:
             charge(lost[0], reason)
             return
+        if not lost:
+            return  # the worker died with nothing of this call lost
         # Ambiguous: the pool cannot say which shard killed the worker.
         # Requeue everything uncharged and recover serialized, where every
         # further loss is exactly attributable.
@@ -288,6 +291,21 @@ def supervise_process_shards(
         pending.clear()
         return lost
 
+    def replace_broken_pool(lost: list[_Unit]) -> None:
+        """Keep what a broken pool finished, replace it, attribute the loss.
+
+        The broken pool's remaining futures settle fast (the executor
+        fails them all).  Joining the pool ends its manager and feeder
+        threads, so a single-threaded caller's replacement still forks.
+        """
+        nonlocal pool
+        if pending:
+            wait(list(pending), timeout=policy.settle_timeout_s)
+        lost.extend(drain_settled("crash"))
+        pool.shutdown(wait=True, cancel_futures=True)
+        pool = _new_pool(workers)
+        handle_incident(lost, "crash")
+
     try:
         while queue or pending:
             limit = 1 if serialize else (max_in_flight or workers * 2)
@@ -297,7 +315,13 @@ def supervise_process_shards(
                     m.counter("serving.breaker.denied_shards").inc()
                     fold(local_runner(unit.task))
                     continue
-                pending[pool.submit(run_shard_in_process, unit.task)] = unit
+                try:
+                    pending[pool.submit(run_shard_in_process, unit.task)] = unit
+                except BrokenExecutor:
+                    # A worker died since the last wait.  This shard never
+                    # ran: requeue it uncharged.
+                    queue.appendleft(unit)
+                    replace_broken_pool([])
             if not pending:
                 continue
             done, _ = wait(
@@ -332,17 +356,7 @@ def supervise_process_shards(
                         breaker.record_success()
                     fold(sr)
             if broken:
-                # The pool is broken; its remaining futures settle fast
-                # (the executor fails them all).  Let them, keep finished
-                # work, replace the pool, and attribute the loss.  Joining
-                # the broken pool ends its manager and feeder threads, so
-                # a single-threaded caller's replacement still forks.
-                if pending:
-                    wait(list(pending), timeout=policy.settle_timeout_s)
-                lost.extend(drain_settled("crash"))
-                pool.shutdown(wait=True, cancel_futures=True)
-                pool = _new_pool(workers)
-                handle_incident(lost, "crash")
+                replace_broken_pool(lost)
     except BaseException:
         # Shards may still be in flight: this pool serves no other call.
         pool.shutdown(wait=False, cancel_futures=True)

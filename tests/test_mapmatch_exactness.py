@@ -8,6 +8,7 @@ candidate edges from the road network's one-cell edge index instead of
 scanning a midpoint grid.
 """
 
+import math
 import sys
 import threading
 
@@ -27,11 +28,15 @@ from repro.mapmatch import (
     candidates_for_point,
 )
 from repro.mapmatch import hmm
+from repro.mapmatch.candidates import nearest_edges
 from repro.roadnet import RoadGrade, TrafficDirection, dijkstra_all
 from repro.roadnet.io import network_from_dict, network_to_dict
 from repro.trajectory import take_every
 
 UNBOUNDED = MapMatchConfig(route_bound_scale=1e9, route_bound_slack_m=1e12)
+#: A bound shorter than the straight line: stage pairs with no route
+#: within it break the chain.
+BREAKING = MapMatchConfig(route_bound_scale=0.5, route_bound_slack_m=0.0)
 
 
 def cold_copy(network):
@@ -60,17 +65,19 @@ def count_searches(monkeypatch):
     return counter
 
 
-def stage_pairs(network, config, raw):
-    """Consecutive ``(point, candidates)`` stages of *raw*, pairwise."""
+def stage_pairs(matcher, raw):
+    """Consecutive stages of *raw* as *matcher*'s route endpoints, pairwise,
+    with the straight-line distance between their samples."""
+    network, config = matcher.network, matcher.config
     stages = [
-        (p, cands)
+        (p, matcher._stage_options(hits))
         for p in raw.points
-        if (cands := candidates_for_point(
+        if (hits := nearest_edges(
             network, p.point, config.candidate_radius_m, config.max_candidates,
         ))
     ]
-    for (pa, cands_a), (pb, cands_b) in zip(stages, stages[1:]):
-        yield cands_a, cands_b, network.projector.distance_m(pa.point, pb.point)
+    for (pa, options_a), (pb, options_b) in zip(stages, stages[1:]):
+        yield options_a, options_b, network.projector.distance_m(pa.point, pb.point)
 
 
 def test_route_bound_never_changes_a_match(scenario, trajectories):
@@ -87,14 +94,14 @@ def test_reused_trees_give_fresh_search_matrices(scenario, trajectories, count_s
     cold = HMMMapMatcher(cold_copy(scenario.network))
     reused_searches = fresh_searches = 0
     for raw in trajectories[:40]:
-        for cands_a, cands_b, straight in stage_pairs(scenario.network, warm.config, raw):
+        for options_a, options_b, straight in stage_pairs(warm, raw):
             before = count_searches["searches"]
-            reused, searched = warm._route_distances(cands_a, cands_b, straight)
+            reused, searched = warm._transitions(options_a, options_b, straight)
             assert count_searches["searches"] - before == searched
             reused_searches += searched
             cold.network.search_trees().clear()
             before = count_searches["searches"]
-            fresh, searched = cold._route_distances(cands_a, cands_b, straight)
+            fresh, searched = cold._transitions(options_a, options_b, straight)
             assert count_searches["searches"] - before == searched
             fresh_searches += searched
             assert reused == fresh
@@ -179,10 +186,10 @@ def test_stale_replacement_after_the_check_changes_no_matrix(
     monkeypatch.setattr(network, "search_trees", lambda: stale)
     cold = HMMMapMatcher(cold_copy(scenario.network))
     for raw in trajectories:
-        for cands_a, cands_b, straight in stage_pairs(network, matcher.config, raw):
+        for options_a, options_b, straight in stage_pairs(matcher, raw):
             cold.network.search_trees().clear()
-            expected, _ = cold._route_distances(cands_a, cands_b, straight)
-            assert matcher._route_distances(cands_a, cands_b, straight)[0] == expected
+            expected, _ = cold._transitions(options_a, options_b, straight)
+            assert matcher._transitions(options_a, options_b, straight)[0] == expected
 
 
 def test_threads_sharing_one_cache_match_serially(scenario, trajectories):
@@ -314,3 +321,240 @@ def test_candidate_lists_are_unchanged(scenario, trajectories, radius_m):
     # Exact ties (samples nearest a shared node) must occur, or the order
     # they keep would go unchecked.
     assert tied > 0
+
+
+class PairwiseRouteMatcher:
+    """Route steps and Viterbi as first written, the reference for
+    ``HMMMapMatcher``'s transition matrices and decode: exit and entry
+    options rebuilt for every stage pair, one tree lookup per exit option
+    and entry option, route distances (inf where there is no route) kept
+    in the matrix, and each cell turned into a transition log-probability
+    inside the Viterbi loop.  Trees are read from and stored in the
+    network's cache, and searched through ``hmm.dijkstra_all``, as the
+    matcher does."""
+
+    def __init__(self, network, config):
+        self.network = network
+        self.config = config
+
+    def match(self, points):
+        """``(MatchResult, route matrix per stage pair, searches run)``."""
+        stages, breaks = [], []
+        for i, sample in enumerate(points):
+            cands = candidates_for_point(
+                self.network, sample.point,
+                self.config.candidate_radius_m, self.config.max_candidates,
+            )
+            if cands:
+                stages.append((i, cands))
+            else:
+                breaks.append(i)
+        chains, matrices = [], []
+        searches = chain_start = 0
+        steps = []
+        for k in range(1, len(stages)):
+            (ia, cands_a), (ib, cands_b) = stages[k - 1], stages[k]
+            straight = self.network.projector.distance_m(
+                points[ia].point, points[ib].point
+            )
+            matrix, searched = self.route_distances(cands_a, cands_b, straight)
+            matrices.append((straight, matrix))
+            searches += searched
+            if any(cell < math.inf for row in matrix for cell in row):
+                steps.append((straight, matrix))
+            else:
+                chains.append((chain_start, k, steps))
+                breaks.append(ib)
+                chain_start, steps = k, []
+        chains.append((chain_start, len(stages), steps))
+        matched = []
+        for start, end, chain_steps in chains:
+            matched.extend(self.decode(stages[start:end], chain_steps))
+        matched.sort(key=lambda m: m.point_index)
+        return MatchResult(matched, sorted(set(breaks))), matrices, searches
+
+    def emission_logp(self, candidate):
+        z = candidate.distance_m / self.config.sigma_z_m
+        return -0.5 * z * z
+
+    def transition_logp(self, route_m, straight_m):
+        return -abs(route_m - straight_m) / self.config.beta_m
+
+    def route_distances(self, from_cands, to_cands, straight_m):
+        network = self.network
+        bound = self.config.route_bound_scale * straight_m + self.config.route_bound_slack_m
+        exits, exit_nodes = [], set()
+        for c in from_cands:
+            edge = network.edge(c.edge_id)
+            options = [(edge.v, (1.0 - c.fraction) * edge.length_m)]
+            if edge.direction is TrafficDirection.TWO_WAY:
+                options.append((edge.u, c.fraction * edge.length_m))
+            exits.append(options)
+            exit_nodes.update(node for node, _ in options)
+        cache = network.search_trees()
+        trees, searches = {}, 0
+        for node in exit_nodes:
+            entry = cache.get(node)
+            if entry is None or entry[0] < bound:
+                entry = (bound, hmm.dijkstra_all(network, node, max_cost=bound))
+                cache[node] = entry
+                searches += 1
+            trees[node] = entry[1]
+        entries = []
+        for c in to_cands:
+            edge = network.edge(c.edge_id)
+            options = [(edge.u, c.fraction * edge.length_m)]
+            if edge.direction is TrafficDirection.TWO_WAY:
+                options.append((edge.v, (1.0 - c.fraction) * edge.length_m))
+            entries.append(options)
+        matrix = []
+        for a, exit_opts in zip(from_cands, exits):
+            row = []
+            edge_a = network.edge(a.edge_id)
+            for b, entry_opts in zip(to_cands, entries):
+                best = math.inf
+                if a.edge_id == b.edge_id:
+                    delta = b.fraction - a.fraction
+                    if edge_a.direction is TrafficDirection.TWO_WAY or delta >= 0.0:
+                        best = abs(delta) * edge_a.length_m
+                for exit_node, exit_cost in exit_opts:
+                    from_costs = trees[exit_node]
+                    for entry_node, entry_cost in entry_opts:
+                        mid = from_costs.get(entry_node)
+                        if mid is None or mid > bound:
+                            continue
+                        best = min(best, exit_cost + mid + entry_cost)
+                row.append(best)
+            matrix.append(row)
+        return matrix, searches
+
+    def decode(self, stages, steps):
+        first_cands = stages[0][1]
+        scores = [self.emission_logp(c) for c in first_cands]
+        backptr = [[-1] * len(first_cands)]
+        for (_, cands_a), (_, cands_b), (straight, matrix) in zip(
+            stages, stages[1:], steps
+        ):
+            new_scores, pointers = [], []
+            for j, cand_b in enumerate(cands_b):
+                best_score, best_i = -math.inf, 0
+                for i in range(len(cands_a)):
+                    route = matrix[i][j]
+                    if route == math.inf:
+                        continue
+                    s = scores[i] + self.transition_logp(route, straight)
+                    if s > best_score:
+                        best_score, best_i = s, i
+                if best_score == -math.inf:
+                    best_score = max(scores) - 1e6
+                    best_i = int(max(range(len(scores)), key=scores.__getitem__))
+                new_scores.append(best_score + self.emission_logp(cand_b))
+                pointers.append(best_i)
+            scores = new_scores
+            backptr.append(pointers)
+        best = int(max(range(len(scores)), key=scores.__getitem__))
+        chosen = [best]
+        for pointers in reversed(backptr[1:]):
+            chosen.append(pointers[chosen[-1]])
+        chosen.reverse()
+        return [
+            MatchedPoint(idx, cands[pick].edge_id, cands[pick].fraction, cands[pick].distance_m)
+            for (idx, cands), pick in zip(stages, chosen)
+        ]
+
+    def transition_matrix(self, straight, matrix):
+        """The reference's log-probability for every cell (-inf: no route)."""
+        return [
+            [self.transition_logp(r, straight) if r < math.inf else -math.inf for r in row]
+            for row in matrix
+        ]
+
+
+@pytest.mark.parametrize("config", [
+    MapMatchConfig(),
+    MapMatchConfig(max_candidates=1),
+    MapMatchConfig(max_candidates=8),
+    UNBOUNDED,
+    BREAKING,
+], ids=["default", "one-candidate", "eight-candidates", "unbounded", "breaking"])
+def test_matches_the_pairwise_reference(
+    scenario, trajectories, config, count_searches, monkeypatch
+):
+    matcher = HMMMapMatcher(cold_copy(scenario.network), config)
+    reference = PairwiseRouteMatcher(cold_copy(scenario.network), config)
+    seen = []
+    transitions = HMMMapMatcher._transitions
+
+    def recorded(self, *args):
+        out = transitions(self, *args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(HMMMapMatcher, "_transitions", recorded)
+    collector = obs.enable_tracing()
+    cells = unreachable = fallbacks = breaks = 0
+    searched = {False: 0, True: 0}
+    try:
+        # The first pass runs on cold caches, the second on the caches the
+        # first pass left; both networks' caches grow the same way.
+        for warm in (False, True):
+            for raw in trajectories:
+                before = count_searches["searches"]
+                expected, matrices, searches = reference.match(raw.points)
+                assert count_searches["searches"] - before == searches
+                del seen[:]
+                collector.clear()
+                assert matcher.match(raw.points) == expected, (warm, raw.trajectory_id)
+                assert count_searches["searches"] - before == 2 * searches
+                [routes] = collector.by_name("mapmatch.routes")
+                assert routes.tags["searches"] == searches, (warm, raw.trajectory_id)
+                assert seen == [
+                    reference.transition_matrix(straight, matrix)
+                    for straight, matrix in matrices
+                ], (warm, raw.trajectory_id)
+                cells += sum(len(row) for _, matrix in matrices for row in matrix)
+                unreachable += sum(
+                    cell == math.inf for _, matrix in matrices for row in matrix
+                    for cell in row
+                )
+                # Columns no predecessor reaches in an unbroken chain take
+                # the heavy-penalty fallback.
+                fallbacks += sum(
+                    all(route == math.inf for route in column)
+                    for _, matrix in matrices
+                    if any(route < math.inf for row in matrix for route in row)
+                    for column in zip(*matrix)
+                )
+                searched[warm] += searches
+                breaks += len(expected.breaks)
+    finally:
+        obs.disable_tracing()
+    assert searched[False] > 0 and searched[True] == 0
+    assert cells > 0
+    if config.max_candidates > 1 and config is not UNBOUNDED:
+        # The bound leaves cells without a route: the -inf path is taken.
+        assert unreachable > 0 and fallbacks > 0
+    if config is BREAKING:
+        assert breaks > 0
+
+
+def test_a_route_exactly_at_the_bound_is_kept(micro_network):
+    """A tree cost equal to the bound is a route; only a larger one is not.
+    From the end of edge 0→1 to the start of edge 2→5 the one route is
+    edge 1→2, and the bound is set to exactly its length."""
+    network = cold_copy(micro_network)
+    edges = {(edge.u, edge.v): edge for edge in network.edges()}
+    a, b, c = edges[(0, 1)], edges[(1, 2)], edges[(2, 5)]
+    config = MapMatchConfig(route_bound_scale=0.0, route_bound_slack_m=b.length_m)
+    matcher = HMMMapMatcher(network, config)
+    reference = PairwiseRouteMatcher(cold_copy(micro_network), config)
+    routes, _ = reference.route_distances(
+        [Candidate(a.edge_id, 1.0, 0.0)], [Candidate(c.edge_id, 0.0, 0.0)], 0.0
+    )
+    assert routes == [[b.length_m]]
+    matrix, _ = matcher._transitions(
+        matcher._stage_options([(0.0, 1.0, a)]),
+        matcher._stage_options([(0.0, 0.0, c)]),
+        0.0,
+    )
+    assert matrix == reference.transition_matrix(0.0, routes)

@@ -431,6 +431,37 @@ class TestWarmPool:
         [fresh] = _idle(2)
         assert fresh is not pool
 
+    def test_pool_that_breaks_before_a_submit_is_replaced(
+        self, stmaker, corpus, clean_obs, no_idle_pools, monkeypatch
+    ):
+        """A worker that dies after the checkout, before the next submit,
+        breaks the pool under the call: ``submit`` raises.  That is a pool
+        incident, not an error of the call: the unsubmitted shard goes
+        back uncharged, the pool is replaced, and a strict call with no
+        retries comes back whole."""
+        stmaker.summarize_many(
+            corpus[:4], k=2, workers=2, shard_size=1, executor="process"
+        )
+        with supervisor._idle_lock:
+            [pool] = supervisor._idle_pools.pop(2)
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        for _ in range(200):
+            if pool._broken:
+                break
+            time.sleep(0.05)
+        assert pool._broken
+        # Hand the broken pool out as if the worker died just after the
+        # checkout's liveness check.
+        monkeypatch.setattr(supervisor, "_checkout", lambda workers: pool)
+        batch = stmaker.summarize_many(
+            corpus, k=2, workers=2, shard_size=1, executor="process",
+            shard_retry=NO_RETRY, strict=True,
+        )
+        assert batch.ok_count == len(corpus) and batch.quarantined == []
+        [fresh] = _idle(2)
+        assert fresh is not pool
+
     def test_concurrent_callers_never_share_a_pool(
         self, stmaker, corpus, clean_obs, no_idle_pools
     ):

@@ -10,14 +10,20 @@ to (nearly) the same symbolic trajectory — the invariance the paper needs.
 Revisits are preserved: if a trajectory passes the same landmark twice
 (e.g. around a U-turn), the candidate passes are clustered in time and each
 cluster yields its own anchor.
+
+The geometry runs in the landmark grid's projected metres: each sample is
+projected once, and each leg reads the landmarks near its start from the
+index's memoised cell scan (:meth:`LandmarkIndex.scan_xy`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.exceptions import CalibrationError
-from repro.geo import point_segment_distance_m
+from repro.geo import segment_distance_xy
 from repro.landmarks import LandmarkId, LandmarkIndex
 from repro.obs import metrics
 from repro.trajectory.model import RawTrajectory, SymbolicEntry, SymbolicTrajectory
@@ -34,10 +40,17 @@ class CalibrationConfig:
     revisit_gap_s: float = 45.0
 
     def __post_init__(self) -> None:
-        if self.search_radius_m <= 0.0:
-            raise CalibrationError("search radius must be positive")
-        if self.revisit_gap_s <= 0.0:
-            raise CalibrationError("revisit gap must be positive")
+        if not 0.0 < self.search_radius_m < math.inf:
+            raise CalibrationError(
+                f"search radius must be positive and finite, got {self.search_radius_m}"
+            )
+        if not 0.0 < self.revisit_gap_s < math.inf:
+            raise CalibrationError(
+                f"revisit gap must be positive and finite, got {self.revisit_gap_s}"
+            )
+
+
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,22 +102,42 @@ class AnchorCalibrator:
 
         Each raw polyline leg is tested against the landmarks near its start
         point; the query radius is padded by the leg length so landmarks
-        closest to the middle of a long leg are not missed.
+        closest to the middle of a long leg are not missed.  A leg's
+        candidates come in :meth:`LandmarkIndex.within` order: by distance
+        from the leg's start, ties in grid-scan order.  That order reaches
+        the anchors on exact ties, through :meth:`_cluster_passes` and the
+        stable sort by time.
+
+        Every sample is projected once.  A landmark's distance from the
+        start, its distance from the leg and its fraction along it are the
+        floats ``within`` and :func:`~repro.geo.point_segment_distance_m`
+        give, computed from the landmark grid's stored projections.  Hits
+        farther than ``search_radius_m`` from the leg are dropped before
+        the stable sort, which leaves the survivors' order unchanged.
         """
         projector = self.landmarks.projector
+        scan_xy = self.landmarks.scan_xy
         radius = self.config.search_radius_m
+        points = trajectory.points
+        xys = [projector.to_xy(p.point) for p in points]
         out: list[_Candidate] = []
-        for a, b in zip(trajectory.points, trajectory.points[1:]):
-            leg_m = projector.distance_m(a.point, b.point)
-            nearby = self.landmarks.within(a.point, radius + leg_m)
-            for _, landmark in nearby:
-                dist, frac = point_segment_distance_m(
-                    landmark.point, a.point, b.point, projector
-                )
-                if dist > radius:
-                    continue
-                t = a.t + frac * (b.t - a.t)
-                out.append(_Candidate(landmark.landmark_id, t, dist))
+        for i in range(len(points) - 1):
+            a, b = points[i], points[i + 1]
+            (ax, ay), (bx, by) = xys[i], xys[i + 1]
+            # The leg length from the points, not from xys: the two
+            # differences round differently.
+            query_m = radius + projector.distance_m(a.point, b.point)
+            hits = []
+            for x, y, landmark in scan_xy(ax, ay, query_m):
+                d = math.hypot(ax - x, ay - y)
+                if d <= query_m:
+                    dist, frac = segment_distance_xy(x, y, ax, ay, bx, by)
+                    if dist <= radius:
+                        hits.append((d, landmark, dist, frac))
+            if len(hits) > 1:
+                hits.sort(key=_first)
+            for _, landmark, dist, frac in hits:
+                out.append(_Candidate(landmark, a.t + frac * (b.t - a.t), dist))
         return out
 
     def _cluster_passes(self, candidates: list[_Candidate]) -> list[_Candidate]:

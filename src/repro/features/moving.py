@@ -9,11 +9,12 @@ summary text (Sec. VI-A).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.exceptions import FeatureError
-from repro.geo import GeoPoint, LocalProjector, bearing_deg, heading_change_deg
+from repro.geo import GeoPoint, LocalProjector, bearing_deg_latlon, heading_change_deg
 from repro.trajectory import TrajectoryPoint, average_speed_ms, instantaneous_speeds_ms
 
 
@@ -38,8 +39,10 @@ class StayPointConfig:
     min_duration_s: float = 45.0
 
     def __post_init__(self) -> None:
-        if self.radius_m <= 0.0 or self.min_duration_s <= 0.0:
-            raise FeatureError("stay-point radius and duration must be positive")
+        if not (
+            0.0 < self.radius_m < math.inf and 0.0 < self.min_duration_s < math.inf
+        ):
+            raise FeatureError("stay-point radius and duration must be positive and finite")
 
 
 def detect_stay_points(
@@ -107,8 +110,14 @@ class UTurnConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.angle_threshold_deg <= 180.0:
             raise FeatureError("angle threshold must lie in (0, 180]")
-        if self.window_m <= 0.0 or self.merge_gap_s < 0.0:
-            raise FeatureError("window must be positive, merge gap non-negative")
+        if not (0.0 < self.window_m < math.inf and 0.0 <= self.merge_gap_s < math.inf):
+            raise FeatureError(
+                "window must be positive and finite, merge gap non-negative and finite"
+            )
+        if not (
+            0.0 <= self.min_step_m < math.inf and 0.0 <= self.min_window_speed_ms < math.inf
+        ):
+            raise FeatureError("minimum step and window speed must be non-negative and finite")
 
 
 def detect_u_turns(
@@ -125,18 +134,26 @@ def detect_u_turns(
 
     Each step between smoothed samples is measured once, and each window
     ``(first sample, last sample)`` gets its heading once: the window
-    leaving one sample is often the window entering the next.
+    leaving one sample is often the window entering the next.  Positions
+    stay ``lat``/``lon`` floats: steps and nets are
+    :meth:`LocalProjector.distance_m`'s arithmetic, headings
+    :func:`~repro.geo.bearing_deg_latlon`, and a :class:`GeoPoint` is built
+    only for an emitted event.
     """
     config = config or UTurnConfig()
     n = len(points)
     if n < 3:
         return []
-    geo = _smooth_positions(points, projector, config.smoothing_samples)
+    lats, lons = _smooth_positions(points, projector, config.smoothing_samples)
     times = [p.t for p in points]
-    distance = projector.distance_m
-    # distance_m is symmetric to the bit, so one measure serves both
-    # walking directions.
-    steps = [distance(a, b) for a, b in zip(geo, geo[1:])]
+    m_lat = projector.m_per_deg_lat
+    m_lon = projector.m_per_deg_lon
+    # LocalProjector.distance_m on floats; it is symmetric to the bit, so
+    # one measure serves both walking directions.
+    steps = [
+        math.hypot((lons[k] - lons[k + 1]) * m_lon, (lats[k] - lats[k + 1]) * m_lat)
+        for k in range(n - 1)
+    ]
     window = config.window_m
     min_net = max(config.min_step_m, 0.5 * window)
     headings: dict[tuple[int, int], float | None] = {}
@@ -151,15 +168,16 @@ def detect_u_turns(
         # no speed, and the resulting headings are pure noise.  A genuine
         # U-turn has both a substantial net displacement across the window
         # and sustained movement through it.
-        a, b = geo[first], geo[last]
-        net = distance(a, b)
+        net = math.hypot(
+            (lons[first] - lons[last]) * m_lon, (lats[first] - lats[last]) * m_lat
+        )
         elapsed = abs(times[last] - times[first])
         if net < min_net or (
             elapsed > 0.0 and net / elapsed < config.min_window_speed_ms
         ):
             bearing = None
         else:
-            bearing = bearing_deg(a, b)
+            bearing = bearing_deg_latlon(lats[first], lons[first], lats[last], lons[last])
         headings[key] = bearing
         return bearing
 
@@ -193,9 +211,9 @@ def detect_u_turns(
         if events and times[i] - events[-1].t <= config.merge_gap_s:
             # Same physical turn: keep the sharpest sample as the event.
             if change > events[-1].heading_change_deg:
-                events[-1] = UTurn(geo[i], times[i], change)
+                events[-1] = UTurn(GeoPoint(lats[i], lons[i]), times[i], change)
             continue
-        events.append(UTurn(geo[i], times[i], change))
+        events.append(UTurn(GeoPoint(lats[i], lons[i]), times[i], change))
     return events
 
 
@@ -203,26 +221,33 @@ def _smooth_positions(
     points: Sequence[TrajectoryPoint],
     projector: LocalProjector,
     window: int,
-) -> list[GeoPoint]:
-    """Centred moving average over positions, one point per sample.
+) -> tuple[list[float], list[float]]:
+    """Centred moving average over positions, one ``(lat, lon)`` per sample,
+    as a list of latitudes and a list of longitudes.
 
     Averaging ``w`` samples shrinks GPS noise by ``sqrt(w)``, which is what
-    makes heading estimation usable near stay points.
+    makes heading estimation usable near stay points.  The floats are
+    those of :meth:`LocalProjector.to_point` on the averaged metres,
+    without building (and validating) a :class:`GeoPoint` per sample.
     """
     if window <= 1 or len(points) < 3:
-        return [p.point for p in points]
+        return [p.point.lat for p in points], [p.point.lon for p in points]
     xys = [projector.to_xy(p.point) for p in points]
     xs = [x for x, _ in xys]
     ys = [y for _, y in xys]
     n = len(points)
     half = window // 2
-    out = []
+    to_latlon = projector.to_latlon
+    lats: list[float] = []
+    lons: list[float] = []
     for i in range(n):
         lo = max(0, i - half)
         hi = min(n, i + half + 1)
         width = hi - lo
-        out.append(projector.to_point(sum(xs[lo:hi]) / width, sum(ys[lo:hi]) / width))
-    return out
+        lat, lon = to_latlon(sum(xs[lo:hi]) / width, sum(ys[lo:hi]) / width)
+        lats.append(lat)
+        lons.append(lon)
+    return lats, lons
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,13 @@ well under 0.1 % and is used for all hot-path distance computations.  Exact
 haversine distances are available where precision matters more than speed.
 """
 
-from repro.geo.point import GeoPoint, bearing_deg, destination_point, heading_change_deg
+from repro.geo.point import (
+    GeoPoint,
+    bearing_deg,
+    bearing_deg_latlon,
+    destination_point,
+    heading_change_deg,
+)
 from repro.geo.distance import (
     EARTH_RADIUS_M,
     LocalProjector,
@@ -27,6 +33,7 @@ from repro.geo.grid import GridIndex
 __all__ = [
     "GeoPoint",
     "bearing_deg",
+    "bearing_deg_latlon",
     "destination_point",
     "heading_change_deg",
     "EARTH_RADIUS_M",

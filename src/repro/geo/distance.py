@@ -40,11 +40,25 @@ class LocalProjector:
         y = (point.lat - self.origin.lat) * self._m_per_deg_lat
         return (x, y)
 
-    def to_point(self, x: float, y: float) -> GeoPoint:
-        """Inverse-project local metres back to a :class:`GeoPoint`."""
+    @property
+    def m_per_deg_lat(self) -> float:
+        """Metres per degree of latitude (the y scale)."""
+        return self._m_per_deg_lat
+
+    @property
+    def m_per_deg_lon(self) -> float:
+        """Metres per degree of longitude at the origin (the x scale)."""
+        return self._m_per_deg_lon
+
+    def to_latlon(self, x: float, y: float) -> tuple[float, float]:
+        """Inverse-project local metres to ``(lat, lon)``, unvalidated."""
         lat = self.origin.lat + y / self._m_per_deg_lat
         lon = self.origin.lon + x / self._m_per_deg_lon
-        return GeoPoint(lat, lon)
+        return (lat, lon)
+
+    def to_point(self, x: float, y: float) -> GeoPoint:
+        """Inverse-project local metres back to a :class:`GeoPoint`."""
+        return GeoPoint(*self.to_latlon(x, y))
 
     def distance_m(self, a: GeoPoint, b: GeoPoint) -> float:
         """Fast planar distance between two geographic points, in metres."""

@@ -51,26 +51,43 @@ class GridIndex(Generic[T]):
         for point, item in pairs:
             self.insert(point, item)
 
-    def query_radius(self, point: GeoPoint, radius_m: float) -> list[tuple[float, T]]:
-        """All items within *radius_m* of *point*, as ``(distance_m, item)``.
+    def scan_key(self, x: float, y: float, radius_m: float) -> tuple[int, int, int]:
+        """``(cx, cy, reach)`` of a radius query at projected ``(x, y)``.
 
-        Results are not sorted; callers that need ordering sort explicitly.
+        ``(cx, cy)`` is the cell holding the query point and *reach* the
+        number of cells the query scans on each side of it.  Raises
+        :class:`GeometryError` unless *radius_m* is finite and non-negative.
         """
-        if radius_m < 0.0:
-            raise GeometryError(f"radius must be non-negative, got {radius_m}")
-        px, py = self._projector.to_xy(point)
-        reach = int(math.ceil(radius_m / self._cell))
-        cx, cy = self._key(px, py)
-        out: list[tuple[float, T]] = []
+        if not 0.0 <= radius_m < math.inf:
+            raise GeometryError(f"radius must be finite and non-negative, got {radius_m}")
+        cx, cy = self._key(x, y)
+        return (cx, cy, int(math.ceil(radius_m / self._cell)))
+
+    def scan(self, cx: int, cy: int, reach: int) -> list[tuple[float, float, T]]:
+        """Stored ``(x, y, item)`` entries of the cells within *reach* of
+        cell ``(cx, cy)``, in scan order: ``ix`` outer, ``iy`` inner, each
+        cell in insertion order.  The list is new; the entries are shared.
+        """
+        out: list[tuple[float, float, T]] = []
         for ix in range(cx - reach, cx + reach + 1):
             for iy in range(cy - reach, cy + reach + 1):
                 bucket = self._buckets.get((ix, iy))
-                if not bucket:
-                    continue
-                for x, y, item in bucket:
-                    d = math.hypot(px - x, py - y)
-                    if d <= radius_m:
-                        out.append((d, item))
+                if bucket:
+                    out.extend(bucket)
+        return out
+
+    def query_radius(self, point: GeoPoint, radius_m: float) -> list[tuple[float, T]]:
+        """All items within *radius_m* of *point*, as ``(distance_m, item)``.
+
+        Results are in :meth:`scan` order, not sorted; callers that need
+        ordering sort explicitly.
+        """
+        px, py = self._projector.to_xy(point)
+        out: list[tuple[float, T]] = []
+        for x, y, item in self.scan(*self.scan_key(px, py, radius_m)):
+            d = math.hypot(px - x, py - y)
+            if d <= radius_m:
+                out.append((d, item))
         return out
 
     def nearest(

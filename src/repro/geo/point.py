@@ -36,9 +36,18 @@ def bearing_deg(origin: GeoPoint, target: GeoPoint) -> float:
 
     Returns degrees clockwise from north in ``[0, 360)``.
     """
-    lat1 = math.radians(origin.lat)
-    lat2 = math.radians(target.lat)
-    dlon = math.radians(target.lon - origin.lon)
+    return bearing_deg_latlon(origin.lat, origin.lon, target.lat, target.lon)
+
+
+def bearing_deg_latlon(lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+    """:func:`bearing_deg` from ``(lat_a, lon_a)`` to ``(lat_b, lon_b)``.
+
+    The one bearing arithmetic, for callers that hold coordinates as floats
+    and would otherwise build a :class:`GeoPoint` just to have it read back.
+    """
+    lat1 = math.radians(lat_a)
+    lat2 = math.radians(lat_b)
+    dlon = math.radians(lon_b - lon_a)
     x = math.sin(dlon) * math.cos(lat2)
     y = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon)
     deg = math.degrees(math.atan2(x, y)) % 360.0

@@ -8,6 +8,7 @@ the HITS-like algorithm in :mod:`repro.landmarks.significance`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,13 +42,22 @@ class Landmark:
             )
 
 
+#: Scans :meth:`LandmarkIndex.scan_xy` keeps before it starts afresh.
+_SCAN_MEMO_MAX = 4096
+
+
 class LandmarkIndex:
-    """Spatially indexed landmark collection with id and metric lookups."""
+    """Spatially indexed landmark collection with id and metric lookups.
+
+    The collection never changes after construction, so the grid scans
+    behind :meth:`scan_xy` are memoised per ``(cell, reach)``.
+    """
 
     def __init__(self, landmarks: list[Landmark], projector: LocalProjector) -> None:
         self.projector = projector
         self._by_id: dict[LandmarkId, Landmark] = {}
         self._grid: GridIndex[LandmarkId] = GridIndex(projector)
+        self._scans: dict[tuple[int, int, int], list[tuple[float, float, LandmarkId]]] = {}
         for landmark in landmarks:
             if landmark.landmark_id in self._by_id:
                 raise GeometryError(f"duplicate landmark id {landmark.landmark_id}")
@@ -79,9 +89,38 @@ class LandmarkIndex:
             return None
         return (hit[0], self._by_id[hit[1]])
 
+    def scan_xy(
+        self, x: float, y: float, radius_m: float
+    ) -> list[tuple[float, float, LandmarkId]]:
+        """``(x, y, landmark_id)`` of every landmark in the grid cells that a
+        query of *radius_m* at projected ``(x, y)`` scans, in scan order.
+
+        A superset of the hits: callers keep the entries whose
+        ``hypot(x - ex, y - ey)`` is at most *radius_m*.  The stored ``ex``,
+        ``ey`` are exactly ``projector.to_xy(landmark.point)``.  The list is
+        memoised and shared, so callers must not mutate it.  Raises
+        :class:`GeometryError` unless *radius_m* is finite and non-negative.
+        """
+        key = self._grid.scan_key(x, y, radius_m)
+        scan = self._scans.get(key)
+        if scan is None:
+            # Threads that race here each build an equal scan, and one may
+            # clear another's entry: either way every caller gets a
+            # complete scan, so the memo needs no lock.
+            if len(self._scans) >= _SCAN_MEMO_MAX:
+                self._scans.clear()
+            scan = self._scans[key] = self._grid.scan(*key)
+        return scan
+
     def within(self, point: GeoPoint, radius_m: float) -> list[tuple[float, Landmark]]:
-        """All landmarks within *radius_m* of *point*, sorted by distance."""
-        hits = self._grid.query_radius(point, radius_m)
+        """All landmarks within *radius_m* of *point*, sorted by distance
+        (stable: landmarks at equal distance keep :meth:`scan_xy` order)."""
+        px, py = self.projector.to_xy(point)
+        hits = []
+        for x, y, lid in self.scan_xy(px, py, radius_m):
+            d = math.hypot(px - x, py - y)
+            if d <= radius_m:
+                hits.append((d, lid))
         hits.sort(key=lambda pair: pair[0])
         return [(d, self._by_id[lid]) for d, lid in hits]
 

@@ -1,5 +1,7 @@
 """Tests for anchor-based calibration."""
 
+import math
+
 import pytest
 
 from repro.calibration import AnchorCalibrator, CalibrationConfig
@@ -47,6 +49,16 @@ class TestConfig:
             CalibrationConfig(search_radius_m=0.0)
         with pytest.raises(CalibrationError):
             CalibrationConfig(revisit_gap_s=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", [{"search_radius_m": math.nan}, {"search_radius_m": math.inf},
+                  {"revisit_gap_s": math.nan}, {"revisit_gap_s": math.inf}],
+    )
+    def test_non_finite_values_rejected(self, field):
+        # A non-finite radius used to reach GridIndex.query_radius, whose
+        # math.ceil raised a bare ValueError or OverflowError per trip.
+        with pytest.raises(CalibrationError):
+            CalibrationConfig(**field)
 
 
 class TestCalibration:

@@ -1,5 +1,6 @@
 """Tests for moving-feature detectors: stays, U-turns, speed changes."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -57,6 +58,14 @@ class TestStayPoints:
         with pytest.raises(FeatureError):
             StayPointConfig(min_duration_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "field", [{"radius_m": math.nan}, {"radius_m": math.inf},
+                  {"min_duration_s": math.nan}, {"min_duration_s": math.inf}],
+    )
+    def test_non_finite_config_rejected(self, field):
+        with pytest.raises(FeatureError):
+            StayPointConfig(**field)
+
     def test_no_stays_while_moving(self, projector):
         pts = moving_east(projector)
         assert detect_stay_points(pts, projector) == []
@@ -104,6 +113,16 @@ class TestUTurns:
             UTurnConfig(angle_threshold_deg=0.0)
         with pytest.raises(FeatureError):
             UTurnConfig(window_m=0.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"window_m": math.nan}, {"window_m": math.inf}, {"merge_gap_s": math.nan},
+         {"merge_gap_s": math.inf}, {"min_step_m": math.nan},
+         {"min_window_speed_ms": math.nan}, {"min_window_speed_ms": -1.0}],
+    )
+    def test_non_finite_config_rejected(self, field):
+        with pytest.raises(FeatureError):
+            UTurnConfig(**field)
 
     def make_u_turn_track(self, projector, out_m=300.0, speed=10.0, dt=5.0):
         """Drive east out_m metres, then back west to the origin."""

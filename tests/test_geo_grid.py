@@ -35,6 +35,22 @@ class TestGridIndexBasics:
         with pytest.raises(GeometryError):
             grid.query_radius(CENTER, -1.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        _, grid, _ = make_index([(0, 0)])
+        with pytest.raises(GeometryError):
+            grid.query_radius(CENTER, radius)
+
+    def test_scan_order_and_key(self):
+        # Cells (-1, 0), (0, -1), (0, 0), in ix-outer, iy-inner order, each
+        # in insertion order; a 1 m radius at (10, 10) scans one cell each way.
+        _, grid, _ = make_index([(10, 10), (-10, 10), (10, -10), (20, 20)])
+        key = grid.scan_key(10.0, 10.0, 1.0)
+        assert key == (0, 0, 1)
+        assert [item for _, _, item in grid.scan(*key)] == [1, 2, 0, 3]
+        assert grid.scan_key(10.0, 10.0, 0.0) == (0, 0, 0)
+        assert grid.scan_key(-0.5, 250.0, 250.5) == (-1, 1, 2)
+
     def test_empty_nearest_returns_none(self):
         projector = LocalProjector(CENTER)
         grid = GridIndex(projector)

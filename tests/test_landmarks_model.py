@@ -1,5 +1,7 @@
 """Tests for Landmark, LandmarkIndex, and the POI generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,23 @@ class TestLandmarkIndex:
         assert [lm.landmark_id for _, lm in hits] == [0, 2, 1]
         dists = [d for d, _ in hits]
         assert dists == sorted(dists)
+
+    def test_within_rejects_non_finite_radius(self, projector):
+        index = LandmarkIndex(make_landmarks(projector, [(0, 0)]), projector)
+        for radius in (math.nan, math.inf, -1.0):
+            with pytest.raises(GeometryError):
+                index.within(CENTER, radius)
+
+    def test_scan_xy_is_memoised_per_cell_and_reach(self, projector):
+        index = LandmarkIndex(
+            make_landmarks(projector, [(0, 0), (300, 0), (100, 0), (600, 600)]), projector
+        )
+        scan = index.scan_xy(10.0, 10.0, 100.0)
+        assert sorted(lid for _, _, lid in scan) == [0, 1, 2]
+        assert index.scan_xy(200.0, 240.0, 250.0) is scan
+        assert sorted(lid for _, _, lid in index.scan_xy(10.0, 10.0, 600.0)) == [0, 1, 2, 3]
+        for x, y, lid in scan:
+            assert (x, y) == projector.to_xy(index.get(lid).point)
 
 
 class TestPOIGenerator:

@@ -135,8 +135,8 @@ def detect_u_turns(
     Each step between smoothed samples is measured once, and each window
     ``(first sample, last sample)`` gets its heading once: the window
     leaving one sample is often the window entering the next.  Positions
-    stay ``lat``/``lon`` floats: steps and nets are
-    :meth:`LocalProjector.distance_m`'s arithmetic, headings
+    stay ``lat``/``lon`` floats: steps and nets come from
+    :meth:`LocalProjector.distance_latlon`, headings from
     :func:`~repro.geo.bearing_deg_latlon`, and a :class:`GeoPoint` is built
     only for an emitted event.
     """
@@ -146,14 +146,10 @@ def detect_u_turns(
         return []
     lats, lons = _smooth_positions(points, projector, config.smoothing_samples)
     times = [p.t for p in points]
-    m_lat = projector.m_per_deg_lat
-    m_lon = projector.m_per_deg_lon
-    # LocalProjector.distance_m on floats; it is symmetric to the bit, so
-    # one measure serves both walking directions.
-    steps = [
-        math.hypot((lons[k] - lons[k + 1]) * m_lon, (lats[k] - lats[k + 1]) * m_lat)
-        for k in range(n - 1)
-    ]
+    distance = projector.distance_latlon
+    # The distance is symmetric to the bit, so one measure serves both
+    # walking directions.
+    steps = [distance(lats[k], lons[k], lats[k + 1], lons[k + 1]) for k in range(n - 1)]
     window = config.window_m
     min_net = max(config.min_step_m, 0.5 * window)
     headings: dict[tuple[int, int], float | None] = {}
@@ -168,9 +164,7 @@ def detect_u_turns(
         # no speed, and the resulting headings are pure noise.  A genuine
         # U-turn has both a substantial net displacement across the window
         # and sustained movement through it.
-        net = math.hypot(
-            (lons[first] - lons[last]) * m_lon, (lats[first] - lats[last]) * m_lat
-        )
+        net = distance(lats[first], lons[first], lats[last], lons[last])
         elapsed = abs(times[last] - times[first])
         if net < min_net or (
             elapsed > 0.0 and net / elapsed < config.min_window_speed_ms

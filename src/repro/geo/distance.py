@@ -40,16 +40,6 @@ class LocalProjector:
         y = (point.lat - self.origin.lat) * self._m_per_deg_lat
         return (x, y)
 
-    @property
-    def m_per_deg_lat(self) -> float:
-        """Metres per degree of latitude (the y scale)."""
-        return self._m_per_deg_lat
-
-    @property
-    def m_per_deg_lon(self) -> float:
-        """Metres per degree of longitude at the origin (the x scale)."""
-        return self._m_per_deg_lon
-
     def to_latlon(self, x: float, y: float) -> tuple[float, float]:
         """Inverse-project local metres to ``(lat, lon)``, unvalidated."""
         lat = self.origin.lat + y / self._m_per_deg_lat
@@ -62,8 +52,17 @@ class LocalProjector:
 
     def distance_m(self, a: GeoPoint, b: GeoPoint) -> float:
         """Fast planar distance between two geographic points, in metres."""
-        dx = (a.lon - b.lon) * self._m_per_deg_lon
-        dy = (a.lat - b.lat) * self._m_per_deg_lat
+        return self.distance_latlon(a.lat, a.lon, b.lat, b.lon)
+
+    def distance_latlon(self, lat_a: float, lon_a: float, lat_b: float, lon_b: float) -> float:
+        """:meth:`distance_m` from ``(lat_a, lon_a)`` to ``(lat_b, lon_b)``.
+
+        The one planar distance arithmetic, for callers that hold
+        coordinates as floats and would otherwise build a
+        :class:`GeoPoint` just to have it read back.
+        """
+        dx = (lon_a - lon_b) * self._m_per_deg_lon
+        dy = (lat_a - lat_b) * self._m_per_deg_lat
         return math.hypot(dx, dy)
 
 

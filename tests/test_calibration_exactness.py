@@ -139,8 +139,7 @@ def test_scenario_within_is_unchanged(scenario, scenario_trips):
 #: A projector at (0, 0): projection is a product by a scale, so points
 #: mirrored in longitude project to x coordinates of exactly opposite sign.
 ORIGIN = LocalProjector(GeoPoint(0.0, 0.0))
-M_LON = ORIGIN.m_per_deg_lon
-M_LAT = ORIGIN.m_per_deg_lat
+M_LON, M_LAT = ORIGIN.to_xy(GeoPoint(1.0, 1.0))  # metres per degree
 
 
 def at(x, y):

@@ -99,6 +99,7 @@ class TestLandmarkIndex:
             make_landmarks(projector, [(0, 0), (300, 0), (100, 0), (600, 600)]), projector
         )
         scan = index.scan_xy(10.0, 10.0, 100.0)
+        assert isinstance(scan, tuple)  # shared, so immutable
         assert sorted(lid for _, _, lid in scan) == [0, 1, 2]
         assert index.scan_xy(200.0, 240.0, 250.0) is scan
         assert sorted(lid for _, _, lid in index.scan_xy(10.0, 10.0, 600.0)) == [0, 1, 2, 3]

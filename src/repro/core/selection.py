@@ -57,19 +57,23 @@ def routing_feature_distance(
         return float(m)
     if m == 0:
         return float(n)
+    numeric = dtype is FeatureDtype.NUMERIC
     prev = [float(j) for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [float(i)] + [0.0] * m
-        for j in range(1, m + 1):
-            if dtype is FeatureDtype.NUMERIC:
-                sub_cost = abs(seq_a[i - 1] - seq_b[j - 1])
+    for i, a in enumerate(seq_a, 1):
+        # ``diag`` is cell (i-1, j-1), ``up`` cell (i-1, j), ``left`` (i, j-1).
+        left = float(i)
+        cur = [left]
+        for b, diag, up in zip(seq_b, prev, prev[1:]):
+            if numeric:
+                sub_cost = abs(a - b)
             else:
-                sub_cost = 0.0 if seq_a[i - 1] == seq_b[j - 1] else 1.0
-            cur[j] = min(
-                prev[j - 1] + sub_cost,  # substitution / match
-                prev[j] + 1.0,           # deletion
-                cur[j - 1] + 1.0,        # insertion
+                sub_cost = 0.0 if a == b else 1.0
+            left = min(
+                diag + sub_cost,  # substitution / match
+                up + 1.0,         # deletion
+                left + 1.0,       # insertion
             )
+            cur.append(left)
         prev = cur
     return prev[m]
 

@@ -68,7 +68,6 @@ class RoutingFeatureComputer:
 
     def __post_init__(self) -> None:
         self._matcher = HMMMapMatcher(self.network, self.match_config)
-        self._hop_cache: dict[tuple[float, float, float, float], RoutingFeatures] = {}
 
     def from_samples(self, points: list[TrajectoryPoint]) -> RoutingFeatures:
         """Routing features of an observed segment via map matching."""
@@ -81,11 +80,14 @@ class RoutingFeatureComputer:
         """Routing features of the network shortest path from *a* to *b*.
 
         Used for hypothetical hops (popular-route segments).  Results are
-        cached per coordinate pair because popular routes repeat heavily
-        across a summary dataset.
+        cached per coordinate pair on the network
+        (:meth:`~repro.roadnet.RoadNetwork.hop_features`) because popular
+        routes repeat heavily across a summary dataset; the network drops
+        them when it mutates.
         """
+        hop_cache = self.network.hop_features()
         key = (a.lat, a.lon, b.lat, b.lon)
-        cached = self._hop_cache.get(key)
+        cached = hop_cache.get(key)
         if cached is not None:
             return cached
         node_a = self.network.nearest_node(a)
@@ -106,5 +108,5 @@ class RoutingFeatureComputer:
                 ) from exc
             path_edges = self.network.path_edges(path)
             features = aggregate_edges([(e, e.length_m) for e in path_edges])
-        self._hop_cache[key] = features
+        hop_cache[key] = features
         return features

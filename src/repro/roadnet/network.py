@@ -6,8 +6,9 @@ Node queries are served by a :class:`~repro.geo.GridIndex`, edge queries
 (:meth:`RoadNetwork.edges_near`) by one edge index per query radius, and
 ``out_edges`` by a directed adjacency; all are built lazily on first use
 and invalidated on mutation.  The map matcher's cache of bounded search
-trees (:meth:`RoadNetwork.search_trees`) is one of these indexes.  Every
-mutation drops them all, and none is serialized.
+trees (:meth:`RoadNetwork.search_trees`) and the routing-feature memo of
+landmark hops (:meth:`RoadNetwork.hop_features`) are two of these indexes.
+Every mutation drops them all, and none is serialized.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ class _Indexes:
         default_factory=dict
     )
     search_trees: dict[NodeId, tuple[float, dict[NodeId, float]]] = field(
+        default_factory=dict
+    )
+    hop_features: dict[tuple[float, float, float, float], object] = field(
         default_factory=dict
     )
 
@@ -236,6 +240,17 @@ class RoadNetwork:
         keeps a consistent tree without a lock.
         """
         return self._indexes.search_trees
+
+    def hop_features(self) -> dict[tuple[float, float, float, float], object]:
+        """Routing features of shortest paths, keyed by the endpoints'
+        ``(lat_a, lon_a, lat_b, lon_b)``.
+
+        Filled and read by
+        :meth:`~repro.features.RoutingFeatureComputer.between_points`;
+        emptied by every mutation, so a path is never answered from a
+        network that has since changed.
+        """
+        return self._indexes.hop_features
 
     # -- spatial queries ----------------------------------------------------
 

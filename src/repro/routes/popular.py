@@ -4,7 +4,9 @@ The most popular route ``PR`` between two landmarks is the route that
 maximizes the product of landmark-to-landmark transfer probabilities
 observed in the historical trajectories.  Maximizing a product of
 probabilities is a shortest-path problem under ``-log`` edge weights, solved
-here with Dijkstra over the transfer network.
+here with Dijkstra over the transfer network.  Each source's search runs
+once: its whole tree stays with the transfer network, which drops it on
+the next mutation.
 """
 
 from __future__ import annotations
@@ -35,9 +37,41 @@ class PopularRouteMiner:
         Transitions with support below ``min_support`` are ignored, so a
         single eccentric trajectory cannot define the "popular" route when
         the threshold is raised.
+
+        The path is read off the shortest-path tree of *source*, which the
+        transfer network keeps per ``(source, min_support)`` until its next
+        mutation.  A search that stops when it pops *target* pops the same
+        landmarks in the same heap order up to there as the full search
+        that builds the tree, and a popped landmark's parent never changes,
+        so both give the same path, ties included.
         """
         if source == target:
             return [source]
+        memo = self.transfers.route_trees()
+        key = (source, self.min_support)
+        tree = memo.trees.get(key)
+        if tree is None:
+            tree = self._search_tree(source, memo.index)
+            memo.trees[key] = tree
+        node = memo.index.get(target)
+        if node is None or tree[node] < 0:
+            return None
+        ids = memo.ids
+        path = [target]
+        parent = tree[node]
+        while parent != node:
+            path.append(ids[parent])
+            node = parent
+            parent = tree[node]
+        path.reverse()
+        return path
+
+    def _search_tree(
+        self, source: LandmarkId, index: dict[LandmarkId, int]
+    ) -> tuple[int, ...]:
+        """Dijkstra under ``-log`` transfer probabilities from *source* to
+        every landmark it reaches, as dense parent numbers (see
+        :class:`~repro.routes.transfer.RouteTrees`)."""
         dist: dict[LandmarkId, float] = {source: 0.0}
         parents: dict[LandmarkId, LandmarkId] = {}
         done: set[LandmarkId] = set()
@@ -46,12 +80,6 @@ class PopularRouteMiner:
             d, u = heapq.heappop(heap)
             if u in done:
                 continue
-            if u == target:
-                path = [target]
-                while path[-1] in parents:
-                    path.append(parents[path[-1]])
-                path.reverse()
-                return path
             done.add(u)
             out = self.transfers.out_transitions(u)
             total = sum(out.values())
@@ -66,7 +94,12 @@ class PopularRouteMiner:
                     dist[v] = nd
                     parents[v] = u
                     heapq.heappush(heap, (nd, v))
-        return None
+        tree = [-1] * len(index)
+        if source in index:
+            tree[index[source]] = index[source]
+        for v, u in parents.items():
+            tree[index[v]] = index[u]
+        return tuple(tree)
 
     def route_popularity(self, route: list[LandmarkId]) -> float:
         """Product of transfer probabilities along *route* (0 if any hop

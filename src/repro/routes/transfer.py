@@ -5,14 +5,36 @@ directed multigraph records how often traffic moves directly between two
 landmarks.  It is the shared substrate of popular-route mining
 (:mod:`repro.routes.popular`) and of the check-in-free part of landmark
 significance (taxi visits).
+
+The network also holds the popular-route miner's shortest-path trees
+(:meth:`TransferNetwork.route_trees`), one per ``(source, min_support)``,
+filled on first use.  Every :meth:`~TransferNetwork.add_transition` drops
+them, and they are never serialized.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.landmarks import LandmarkId
 from repro.trajectory import SymbolicTrajectory
+
+
+@dataclass(slots=True)
+class RouteTrees:
+    """Shortest-path trees over one state of a :class:`TransferNetwork`.
+
+    ``index`` numbers every landmark of the network densely and ``ids``
+    maps the numbers back.  ``trees[(source, min_support)]`` holds, per
+    landmark number, the number of its parent on the tree rooted at
+    ``source``: ``-1`` for an unreached landmark, and the source's own
+    number for the source.
+    """
+
+    index: dict[LandmarkId, int]
+    ids: tuple[LandmarkId, ...]
+    trees: dict[tuple[LandmarkId, int], tuple[int, ...]] = field(default_factory=dict)
 
 
 class TransferNetwork:
@@ -21,6 +43,7 @@ class TransferNetwork:
     def __init__(self) -> None:
         self._out: dict[LandmarkId, dict[LandmarkId, int]] = {}
         self._total_transitions = 0
+        self._route_trees: RouteTrees | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -31,6 +54,7 @@ class TransferNetwork:
         self._out.setdefault(src, {})
         self._out[src][dst] = self._out[src].get(dst, 0) + count
         self._total_transitions += count
+        self._route_trees = None
 
     def add_trajectory(self, trajectory: SymbolicTrajectory) -> None:
         """Record every consecutive landmark pair of *trajectory*."""
@@ -74,6 +98,25 @@ class TransferNetwork:
         for successors in self._out.values():
             seen.update(successors)
         return seen
+
+    def route_trees(self) -> RouteTrees:
+        """The popular-route trees of the network as it stands.
+
+        Filled and read by :class:`~repro.routes.PopularRouteMiner`;
+        replaced by an empty one on every mutation.  Callers never mutate
+        a stored tree, and a reader that bound the returned object keeps a
+        consistent index and trees without a lock.
+        """
+        memo = self._route_trees
+        if memo is None:
+            ids = tuple(dict.fromkeys(
+                landmark
+                for src, successors in self._out.items()
+                for landmark in (src, *successors)
+            ))
+            memo = RouteTrees({landmark: i for i, landmark in enumerate(ids)}, ids)
+            self._route_trees = memo
+        return memo
 
     def edges(self) -> Iterator[tuple[LandmarkId, LandmarkId, int]]:
         """Iterate ``(src, dst, count)`` over all observed transitions."""

@@ -137,8 +137,12 @@ class HotQueryCaches:
     """The server's hot caches, keyed on ``(artifact_fingerprint, query)``.
 
     ``routes`` memoizes :meth:`FeatureSelector._popular_hops` — the whole
-    popular-route + per-hop feature chain, the dominant per-partition
-    cost — and ``anchors`` memoizes
+    popular-route + per-hop feature chain, keyed by landmark pair.  It
+    fronts two model-side memos that already make a miss cheap: the
+    transfer network keeps one popular-route tree per source landmark
+    (:meth:`~repro.routes.TransferNetwork.route_trees`) and the road
+    network keeps each hop's features
+    (:meth:`~repro.roadnet.RoadNetwork.hop_features`).  ``anchors`` memoizes
     :meth:`~repro.routes.HistoricalFeatureMap.regular_value`.  Every key
     carries the fingerprint *captured when its view was built* (not read
     at lookup time): a view computes only from the model it wraps, so its

@@ -17,7 +17,7 @@ from repro.features import (
     normalize_matrix,
     normalize_sequence,
 )
-from repro.roadnet import RoadGrade, TrafficDirection
+from repro.roadnet import RoadGrade, RoadNetwork, TrafficDirection
 from repro.trajectory import TrajectoryPoint
 
 
@@ -75,6 +75,25 @@ class TestRoutingFeatureComputer:
         a = projector.to_point(0.0, 0.0)
         b = projector.to_point(1000.0, 0.0)
         assert computer.between_points(a, b) is computer.between_points(a, b)
+
+    def test_between_points_follows_a_network_mutation(self, projector):
+        network = RoadNetwork(projector)
+        west = network.add_node(projector.to_point(0.0, 0.0)).node_id
+        east = network.add_node(projector.to_point(1000.0, 0.0)).node_id
+        north = network.add_node(projector.to_point(500.0, 300.0)).node_id
+        for u, v in ((west, north), (north, east)):
+            network.add_edge(
+                u, v, RoadGrade.HIGHWAY, 28.0, TrafficDirection.TWO_WAY, "detour2"
+            )
+        computer = RoutingFeatureComputer(network)
+        a = projector.to_point(0.0, 0.0)
+        b = projector.to_point(1000.0, 0.0)
+        assert computer.between_points(a, b).road_name == "detour2"
+        network.add_edge(
+            west, east, RoadGrade.NATIONAL, 18.0, TrafficDirection.TWO_WAY, "direct"
+        )
+        assert RoutingFeatureComputer(network).between_points(a, b).road_name == "direct"
+        assert computer.between_points(a, b).road_name == "direct"
 
     def test_same_node_pair(self, micro_network, projector):
         computer = RoutingFeatureComputer(micro_network)

@@ -93,6 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         AdmissionController,
         AdmissionPolicy,
         CircuitBreaker,
+        ItemOptions,
         ShardRetryPolicy,
     )
 
@@ -352,13 +353,15 @@ class STMaker:
         serves the batch at a cheaper ``k`` (``shed="degrade"``), with
         *tenant*/*priority* consulted by per-tenant budgets and bypass.
         """
-        from repro.serving import run_sharded
+        from repro.serving import ItemOptions, run_sharded
 
+        options = ItemOptions(
+            k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
+            strict=strict, retry=retry or RetryPolicy(),
+            deadline_s=deadline_s, sleeper=sleeper,
+        )
         return run_sharded(
-            self, trajectories, k,
-            sanitize=sanitize, sanitizer_config=sanitizer_config,
-            strict=strict, retry=retry, deadline_s=deadline_s,
-            sleeper=sleeper, progress=progress,
+            self, trajectories, options, progress=progress,
             workers=workers, shard_size=shard_size,
             executor=executor, artifact=artifact,
             shard_retry=shard_retry, breaker=breaker,
@@ -369,14 +372,9 @@ class STMaker:
         self,
         index: int,
         raw: RawTrajectory,
+        options: "ItemOptions",
         *,
-        k: int | None,
-        sanitize: bool,
-        sanitizer_config: SanitizerConfig | None,
-        strict: bool,
-        retry: RetryPolicy,
         deadline: Deadline,
-        sleeper: Callable[[float], None],
         shard_id: int | None = None,
         trace: TraceContext | None = None,
     ) -> ItemOutcome:
@@ -393,8 +391,9 @@ class STMaker:
         (counters, latency histogram, ``quarantine`` and ``item_end``
         events), so a worker process records none of those.
 
-        *trace* is the item's request identity: it is activated around the
-        whole item, so every span recorded inside — in whichever process —
+        *deadline* is the task's clock of ``options.deadline_s``.  *trace*
+        is the item's request identity: it is activated around the whole
+        item, so every span recorded inside — in whichever process —
         carries its ``trace_id``, rooted at the ``item`` span opened here.
         A :class:`~repro.resilience.LatencyBreakdown` is always recorded
         and attached to the outcome.  It is read from the item's spans once
@@ -424,18 +423,20 @@ class STMaker:
             ) as item_span:
                 try:
                     with span_listener(breakdown.note_span):
-                        if sanitize:
-                            raw, sanitization = _sanitize(raw, sanitizer_config)
+                        if options.sanitize:
+                            raw, sanitization = _sanitize(raw, options.sanitizer_config)
                         while True:
                             attempts += 1
                             try:
                                 with span("attempt", attempt=attempts):
-                                    summary = self.summarize(raw, k=k, strict=strict)
+                                    summary = self.summarize(
+                                        raw, k=options.k, strict=options.strict
+                                    )
                                 break
                             except TransientError as exc:
-                                if attempts > retry.max_retries:
+                                if attempts > options.retry.max_retries:
                                     raise
-                                delay = retry.delay_s(attempts)
+                                delay = options.retry.delay_s(attempts)
                                 if delay >= deadline.remaining_s():
                                     raise  # backing off would blow the budget
                                 metrics().counter("resilience.batch.retries").inc()
@@ -446,10 +447,10 @@ class STMaker:
                                     error=f"{type(exc).__name__}: {exc}",
                                 )
                                 if delay > 0.0:
-                                    sleeper(delay)
+                                    options.sleeper(delay)
                                     breakdown.backoff_s += delay
                 except ReproError as exc:
-                    if strict:
+                    if options.strict:
                         raise
                     item_span.set_tag("quarantined", True)
                     error = exc

@@ -30,11 +30,12 @@ class RetryPolicy:
     backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
+        # Written so that NaN fails too: every comparison with NaN is false.
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0.0:
+        if not self.backoff_base_s >= 0.0:
             raise ConfigError(f"backoff_base_s must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ConfigError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
     def delay_s(self, retry_number: int) -> float:
@@ -56,7 +57,7 @@ class Deadline:
     def __init__(
         self, budget_s: float | None, clock: Callable[[], float] = time.monotonic
     ) -> None:
-        if budget_s is not None and budget_s < 0.0:
+        if budget_s is not None and not budget_s >= 0.0:
             raise ConfigError(f"deadline budget must be >= 0, got {budget_s}")
         self.budget_s = budget_s
         self._clock = clock

@@ -1,12 +1,16 @@
 """Bounded LRU hot caches for the serving front-end.
 
-The paper's two expensive historical lookups are pure functions of the
-trained model: the popular route between two landmarks (Sec. V-A —
-a Dijkstra over the transfer network plus a shortest-path feature
-extraction per hop) and the regular value of a landmark hop read off the
-historical feature map (Sec. V-B).  Both are recomputed per request even
-though the trained state is immutable for the lifetime of a city-model
-artifact; this module memoizes them behind the front door:
+The paper's two historical lookups are pure functions of the trained
+model: the popular route between two landmarks with the routing features
+of its hops (Sec. V-A), and the regular value of a landmark hop read off
+the historical feature map (Sec. V-B).  Without this module a popular
+route is read off the stored popular-route tree of its source landmark
+(:meth:`~repro.routes.TransferNetwork.route_trees`), and each hop's
+features off the road network's hop memo
+(:meth:`~repro.roadnet.RoadNetwork.hop_features`); both memos are filled
+on first use and shared by batch and server calls.  A regular value is a
+feature-map read.  This module keeps the answers per landmark pair,
+behind the front door:
 
 * :class:`LRUCache` — a thread-safe bounded least-recently-used map with
   ``server.cache.<name>.hits`` / ``.misses`` / ``.evictions`` counters

@@ -3,10 +3,10 @@
 One frozen dataclass carries everything the front-end needs: queue
 bounds and tenant weights, deadline defaults, the serving-path knobs it
 forwards to :meth:`~repro.core.STMaker.summarize_many` (workers, shard
-size, executor), hot-cache capacities, and the admission budget it
-builds its :class:`~repro.serving.AdmissionController` from.  Validation
-happens at construction, so a bad config fails at server build time, not
-on the first request.
+size, executor), and the admission budget it builds its
+:class:`~repro.serving.AdmissionController` from.  Validation happens at
+construction, so a bad config fails at server build time, not on the
+first request.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.exceptions import ConfigError
-from repro.serving import SHED_POLICIES, validate_pool_shape
+from repro.serving import AdmissionController, AdmissionPolicy, validate_pool_shape
+
+#: Tenant a request submitted without one is accounted to.
+DEFAULT_TENANT = "default"
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +40,6 @@ class ServerConfig:
     max_queue_requests: int = 64
     #: Weighted-round-robin weight per tenant (missing tenants weigh 1).
     tenant_weights: Mapping[str, int] = field(default_factory=dict)
-    #: Tenant a request without one is accounted to.
-    default_tenant: str = "default"
     #: Per-request deadline budget (seconds from enqueue); ``None`` = none.
     default_deadline_s: float | None = None
     #: Per-tenant overrides of ``default_deadline_s``.
@@ -52,9 +53,6 @@ class ServerConfig:
     workers: int = 1
     shard_size: int | None = None
     executor: str = "thread"
-    #: Hot-cache capacities (see :mod:`repro.server.cache`).
-    route_cache_size: int = 256
-    anchor_cache_size: int = 4096
     #: Admission budget in items (``None`` = unbounded globally).
     max_queued_items: int | None = None
     #: Per-tenant admission budgets in items.
@@ -80,27 +78,30 @@ class ServerConfig:
             workers=self.workers, shard_size=self.shard_size,
             executor=self.executor,
         )
-        if self.shed not in SHED_POLICIES:
-            raise ConfigError(
-                f"unknown shed policy {self.shed!r}; "
-                f"expected one of {SHED_POLICIES}"
-            )
+        self.build_admission()
         for tenant, weight in self.tenant_weights.items():
             if weight < 1:
                 raise ConfigError(
                     f"tenant weight must be >= 1, got {weight} for {tenant!r}"
                 )
-        if self.default_deadline_s is not None and self.default_deadline_s < 0.0:
+        if self.default_deadline_s is not None and not self.default_deadline_s >= 0.0:
             raise ConfigError(
                 f"default_deadline_s must be >= 0, got {self.default_deadline_s}"
             )
         for tenant, deadline in self.tenant_deadline_s.items():
-            if deadline < 0.0:
+            if not deadline >= 0.0:
                 raise ConfigError(
                     f"tenant deadline must be >= 0, got {deadline} for {tenant!r}"
                 )
-        if self.route_cache_size < 1 or self.anchor_cache_size < 1:
-            raise ConfigError(
-                "cache sizes must be >= 1, got "
-                f"routes={self.route_cache_size} anchors={self.anchor_cache_size}"
-            )
+
+    def build_admission(self) -> AdmissionController:
+        """A fresh admission controller; checks the admission fields."""
+        return AdmissionController(
+            AdmissionPolicy(
+                max_queued_items=self.max_queued_items,
+                shed=self.shed,
+                degrade_k=self.degrade_k,
+                bypass_priority=self.bypass_priority,
+            ),
+            tenant_budgets=dict(self.tenant_budgets),
+        )

@@ -49,9 +49,9 @@ from repro.obs import (
 )
 from repro.resilience import BatchResult, Deadline, RetryPolicy
 from repro.server.cache import HotQueryCaches, cached_view, model_fingerprint
-from repro.server.config import ServerConfig
+from repro.server.config import DEFAULT_TENANT, ServerConfig
 from repro.server.queue import RequestQueue
-from repro.serving import AdmissionController, AdmissionPolicy, AdmissionTicket
+from repro.serving import AdmissionTicket, ItemOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.summarizer import STMaker
@@ -124,17 +124,12 @@ class RequestHandle:
 
 @dataclass(slots=True)
 class _QueuedRequest:
-    """Everything a consumer needs to serve one request."""
+    """Everything a consumer needs to serve one request (*deadline* runs
+    from enqueue)."""
 
     handle: RequestHandle
     items: list
-    k: int | None
-    sanitize: bool
-    sanitizer_config: "SanitizerConfig | None"
-    strict: bool
-    retry: RetryPolicy | None
-    sleeper: Callable[[float], None]
-    deadline_s: float | None
+    options: ItemOptions
     deadline: Deadline
     ticket: AdmissionTicket
     enqueued_s: float = field(default_factory=time.perf_counter)
@@ -154,25 +149,13 @@ class SummarizationServer:
     ) -> None:
         self.config = config or ServerConfig()
         self._model = stmaker
-        self.caches = HotQueryCaches.for_model(
-            stmaker,
-            route_capacity=self.config.route_cache_size,
-            anchor_capacity=self.config.anchor_cache_size,
-        )
+        self.caches = HotQueryCaches.for_model(stmaker)
         self._view = cached_view(stmaker, self.caches)
         self._queue: RequestQueue[_QueuedRequest] = RequestQueue(
             self.config.max_queue_requests,
             weights=self.config.tenant_weights,
         )
-        self.admission = AdmissionController(
-            AdmissionPolicy(
-                max_queued_items=self.config.max_queued_items,
-                shed=self.config.shed,
-                degrade_k=self.config.degrade_k,
-                bypass_priority=self.config.bypass_priority,
-            ),
-            tenant_budgets=dict(self.config.tenant_budgets),
-        )
+        self.admission = self.config.build_admission()
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []
         self._running = False
@@ -293,7 +276,7 @@ class SummarizationServer:
                 "context manager) before submit()"
             )
         items = list(items)
-        tenant = tenant or self.config.default_tenant
+        tenant = tenant or DEFAULT_TENANT
         effective_deadline = (
             self.config.tenant_deadline_s.get(
                 tenant, self.config.default_deadline_s
@@ -319,10 +302,12 @@ class SummarizationServer:
             f"req-{next(self._ids):06d}", tenant, len(items)
         )
         entry = _QueuedRequest(
-            handle=handle, items=items, k=k,
-            sanitize=sanitize, sanitizer_config=sanitizer_config,
-            strict=strict, retry=retry, sleeper=sleeper,
-            deadline_s=effective_deadline,
+            handle=handle, items=items,
+            options=ItemOptions(
+                k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
+                strict=strict, retry=retry or RetryPolicy(),
+                deadline_s=effective_deadline, sleeper=sleeper,
+            ),
             deadline=deadline,
             ticket=ticket,
         )
@@ -378,19 +363,19 @@ class SummarizationServer:
             # built must still fire: sync the injector reference (shared
             # object — fire counters stay global, like with_config).
             self._view.fault_injector = self._model.fault_injector
-            k = entry.k
-            if entry.ticket.decision.k_override is not None:
-                k = entry.ticket.decision.k_override
-            remaining = (
-                None if entry.deadline_s is None
-                else entry.deadline.remaining_s()
-            )
+            options = entry.options
+            k_override = entry.ticket.decision.k_override
             result = self._view.summarize_many(
-                entry.items, k=k,
-                sanitize=entry.sanitize,
-                sanitizer_config=entry.sanitizer_config,
-                strict=entry.strict, retry=entry.retry,
-                deadline_s=remaining, sleeper=entry.sleeper,
+                entry.items,
+                k=options.k if k_override is None else k_override,
+                sanitize=options.sanitize,
+                sanitizer_config=options.sanitizer_config,
+                strict=options.strict, retry=options.retry,
+                deadline_s=(
+                    None if options.deadline_s is None
+                    else entry.deadline.remaining_s()
+                ),
+                sleeper=options.sleeper,
                 workers=self.config.workers,
                 shard_size=self.config.shard_size,
                 executor=self.config.executor,

@@ -13,7 +13,8 @@ without changing semantics:
   deadline (every ``executor="thread"`` batch), or as shards on a
   supervised process pool under per-shard deadline budgets;
 * :mod:`~repro.serving.executor` — the one shard loop,
-  :func:`run_shard`, over a :class:`ShardTask`, and the
+  :func:`run_shard`, over a :class:`ShardTask` whose items all run under
+  one :class:`ItemOptions`, and the
   ``executor="process"`` backend: tasks ship to
   :class:`~concurrent.futures.ProcessPoolExecutor` workers carrying a
   city-model **artifact reference** (:mod:`repro.artifact`) instead of
@@ -60,6 +61,7 @@ from repro.serving.breaker import (
 )
 from repro.serving.executor import (
     EXECUTORS,
+    ItemOptions,
     ShardResult,
     ShardTask,
     run_shard,
@@ -78,6 +80,7 @@ __all__ = [
     "BREAKER_STATES",
     "CircuitBreaker",
     "EXECUTORS",
+    "ItemOptions",
     "SHED_POLICIES",
     "Shard",
     "ShardResult",

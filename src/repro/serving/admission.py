@@ -136,7 +136,8 @@ class AdmissionController:
     """Stateful intake for many concurrent batches (see module docstring).
 
     *tenant_budgets* maps tenant name → max queued items for that tenant
-    (checked on top of the policy's global ``max_queued_items``).
+    (checked on top of the policy's global ``max_queued_items``); like
+    that budget, each must be at least 1.
     Thread-safe; budget is held from :meth:`admit` until the ticket's
     :meth:`~AdmissionTicket.release`.
     """
@@ -149,6 +150,11 @@ class AdmissionController:
     ) -> None:
         self.policy = policy
         self.tenant_budgets = dict(tenant_budgets or {})
+        for tenant, budget in self.tenant_budgets.items():
+            if budget < 1:
+                raise ConfigError(
+                    f"tenant budget must be >= 1, got {budget} for {tenant!r}"
+                )
         self._lock = threading.Lock()
         self._queued = 0
         self._queued_by_tenant: dict[str, int] = {}

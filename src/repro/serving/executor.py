@@ -96,13 +96,32 @@ EXECUTORS = ("thread", "process")
 
 
 @dataclass(frozen=True, slots=True)
+class ItemOptions:
+    """The options every item of one batch is served under.
+
+    ``summarize_many`` and ``SummarizationServer.submit`` build one from
+    their keywords, and every layer below them carries it whole.
+    ``deadline_s`` budgets one :class:`~repro.resilience.Deadline` per
+    :class:`ShardTask`.
+    """
+
+    k: int | None = None
+    sanitize: bool = True
+    sanitizer_config: "SanitizerConfig | None" = None
+    strict: bool = False
+    retry: RetryPolicy = RetryPolicy()
+    deadline_s: float | None = None
+    sleeper: Callable[[float], None] = time.sleep
+
+
+@dataclass(frozen=True, slots=True)
 class ShardTask:
     """Everything :func:`run_shard` needs to serve one shard.
 
     ``shard_id`` is ``None`` for the serial case's single task: no
     shard events, no ``"shard"`` span, and ``None`` as quarantine
     provenance, exactly as a batch that was never sharded.  The fields
-    after ``sleeper`` are only filled in for the process executor.
+    after ``options`` are only filled in for the process executor.
     Deliberately model-free: the trained state travels as an
     artifact reference, not as pickled objects, so N tasks cost N small
     pickles plus one artifact load per worker process (the per-process
@@ -114,13 +133,7 @@ class ShardTask:
     items: tuple["RawTrajectory", ...]
     #: Per-item request contexts, parallel to ``indices``/``items``.
     traces: tuple[TraceContext, ...]
-    k: int | None
-    sanitize: bool
-    sanitizer_config: "SanitizerConfig | None"
-    strict: bool
-    retry: RetryPolicy
-    deadline_s: float | None
-    sleeper: Callable[[float], None]
+    options: ItemOptions
     artifact_path: str | None = None
     fingerprint: str | None = None
     fault_specs: tuple[FaultSpec, ...] = ()
@@ -150,9 +163,7 @@ class ShardResult:
     events: tuple[PipelineEvent, ...] = ()
 
 
-def check_process_compatible(
-    stmaker: "STMaker", sleeper: Callable[[float], None]
-) -> None:
+def check_process_compatible(stmaker: "STMaker", options: ItemOptions) -> None:
     """Fail fast on state that cannot cross the process boundary.
 
     Two things cannot ship: custom feature extractors (code, not data —
@@ -169,13 +180,13 @@ def check_process_compatible(
             f"{custom} to worker processes (they are code, not data); "
             "use executor='thread' for models with registry extensions"
         )
-    if sleeper is not time.sleep:
+    if options.sleeper is not time.sleep:
         try:
-            pickle.dumps(sleeper)
+            pickle.dumps(options.sleeper)
         except Exception as exc:
             raise ConfigError(
                 "executor='process' requires a picklable sleeper "
-                f"(module-level function), got {sleeper!r}: {exc}"
+                f"(module-level function), got {options.sleeper!r}: {exc}"
             ) from exc
 
 
@@ -199,7 +210,7 @@ def run_shard(
     soon as it is computed (the serial runner settles it there).  In
     ``strict`` mode the first item error propagates, unsettled.
     """
-    deadline = Deadline(task.deadline_s)
+    deadline = Deadline(task.options.deadline_s)
     sharded = task.shard_id is not None
     tags = {"degraded": True} if degraded else {}
     if sharded:
@@ -211,10 +222,7 @@ def run_shard(
     ) as shard_span:
         for offset, index in enumerate(task.indices):
             outcome = stmaker._summarize_item(
-                index, task.items[offset], k=task.k,
-                sanitize=task.sanitize, sanitizer_config=task.sanitizer_config,
-                strict=task.strict, retry=task.retry,
-                deadline=deadline, sleeper=task.sleeper,
+                index, task.items[offset], task.options, deadline=deadline,
                 shard_id=task.shard_id, trace=task.traces[offset],
             )
             outcomes.append(outcome)

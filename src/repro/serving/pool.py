@@ -64,15 +64,11 @@ from repro.obs import (
     start_trace,
     tracing_enabled,
 )
-from repro.resilience import (
-    BatchProgress,
-    BatchResult,
-    ItemOutcome,
-    RetryPolicy,
-)
+from repro.resilience import BatchProgress, BatchResult, ItemOutcome
 from repro.serving.breaker import CircuitBreaker, get_breaker
 from repro.serving.executor import (
     EXECUTORS,
+    ItemOptions,
     ShardResult,
     ShardTask,
     check_process_compatible,
@@ -85,7 +81,7 @@ from repro.serving.supervisor import ShardRetryPolicy, supervise_process_shards
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.summarizer import STMaker
     from repro.serving.admission import AdmissionController, AdmissionPolicy
-    from repro.trajectory import RawTrajectory, SanitizerConfig
+    from repro.trajectory import RawTrajectory
 
 
 def validate_pool_shape(
@@ -192,14 +188,8 @@ class _ProgressBoard:
 def run_sharded(
     stmaker: "STMaker",
     items: Sequence["RawTrajectory"],
-    k: int | None = None,
+    options: ItemOptions,
     *,
-    sanitize: bool = True,
-    sanitizer_config: "SanitizerConfig | None" = None,
-    strict: bool = False,
-    retry: RetryPolicy | None = None,
-    deadline_s: float | None = None,
-    sleeper: Callable[[float], None] = time.sleep,
     progress: Callable[[BatchProgress], None] | None = None,
     workers: int = 1,
     shard_size: int | None = None,
@@ -213,9 +203,10 @@ def run_sharded(
 ) -> BatchResult:
     """Summarize *items* in the calling thread, or sharded across processes.
 
-    A batch is the serial case — one task with no shard id, run inline on
-    one ``deadline_s`` clock — unless ``executor="process"`` and
-    ``workers > 1`` or ``shard_size`` is set.  Under ``"thread"``,
+    Every item is served under *options*.  A batch is the serial case —
+    one task with no shard id, run inline on one ``deadline_s`` clock —
+    unless ``executor="process"`` and ``workers > 1`` or ``shard_size`` is
+    set.  Under ``"thread"``,
     ``workers`` and ``shard_size`` are accepted and have no effect.  A
     sharded batch matches serial element-wise — same summaries, same
     degradation reports, same quarantine entries, in the same input order
@@ -240,8 +231,8 @@ def run_sharded(
     :class:`~repro.serving.CircuitBreaker`) routes process shards to an
     in-parent degraded path while open; serial batches never consult it.
     *admission* bounds the intake (may raise
-    :class:`~repro.exceptions.OverloadError`, or override ``k`` under
-    ``shed="degrade"``) and caps the supervisor's in-flight window via
+    :class:`~repro.exceptions.OverloadError`, or replace ``options.k``
+    under ``shed="degrade"``) and caps the supervisor's in-flight window via
     its ``max_in_flight_shards``; *tenant*/*priority* feed its budget and
     bypass hooks.  Options are validated before admission, so a
     :class:`~repro.exceptions.ConfigError` never holds budget.
@@ -265,7 +256,7 @@ def run_sharded(
             ticket = admission.admit(len(items), tenant=tenant, priority=priority)
         admission_wait_s = admission_span.duration_ms / 1000.0
         if ticket.decision.k_override is not None:
-            k = ticket.decision.k_override
+            options = dataclasses.replace(options, k=ticket.decision.k_override)
     # Request identity is minted the moment the batch clears admission:
     # one TraceContext per item, all anchored at the same wall-clock
     # instant, so queue wait is "admitted but not yet picked up" on
@@ -278,9 +269,7 @@ def run_sharded(
             indices=shard.indices,
             items=tuple(items[index] for index in shard.indices),
             traces=tuple(traces[index] for index in shard.indices),
-            k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
-            strict=strict, retry=retry or RetryPolicy(),
-            deadline_s=deadline_s, sleeper=sleeper,
+            options=options,
         )
         for shard in shards
     ]
@@ -301,9 +290,9 @@ def run_sharded(
         shape = {"workers": workers, "shards": len(shards)}
         span_tags = {**shape, "executor": executor}
         end_tags = {"shards": len(shards)}
-    emit_event("batch_start", items=len(items), k=k, **shape)
+    emit_event("batch_start", items=len(items), k=options.k, **shape)
     try:
-        with span("summarize_many", items=len(items), k=k, **span_tags) as sp:
+        with span("summarize_many", items=len(items), k=options.k, **span_tags) as sp:
             board = _ProgressBoard(len(items), progress, sp, admission_wait_s)
             if sharded:
                 if breaker is True:
@@ -397,7 +386,7 @@ def _run_in_processes(
     from repro.artifact import artifact_info, ensure_artifact
 
     if tasks:
-        check_process_compatible(stmaker, tasks[0].sleeper)
+        check_process_compatible(stmaker, tasks[0].options)
     info = artifact_info(artifact) if artifact is not None else ensure_artifact(stmaker)
     injector = stmaker.fault_injector
     shipped = {

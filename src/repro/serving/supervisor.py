@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exceptions import ConfigError, WorkerCrashError
 from repro.obs import emit_event, metrics
-from repro.resilience import ItemOutcome, LatencyBreakdown, QuarantineEntry
+from repro.resilience import ItemOutcome, LatencyBreakdown, QuarantineEntry, RetryPolicy
 from repro.serving.executor import (
     ShardResult,
     ShardTask,
@@ -93,14 +93,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True, slots=True)
-class ShardRetryPolicy:
+class ShardRetryPolicy(RetryPolicy):
     """Bounds on how hard the supervisor fights for a lost shard.
 
-    ``max_retries`` is per *shard identity*: a bisected half starts with
-    a fresh attempt budget (it is new evidence — the crash may have been
-    the other half's fault).  The backoff schedule is the same
-    deterministic geometric progression as
-    :class:`~repro.resilience.RetryPolicy`.  ``hang_timeout_s`` overrides
+    The backoff schedule and its checks are :class:`RetryPolicy`'s;
+    ``delay_s(n)`` is the wait before re-running a shard charged ``n``
+    times.  ``max_retries`` is per *shard identity*: a bisected half
+    starts with a fresh attempt budget (it is new evidence — the crash
+    may have been the other half's fault).  ``hang_timeout_s`` overrides
     the progress window used for hang detection; when ``None`` the window
     is ``deadline_s + hang_grace_s`` (and unbounded when there is no
     deadline either — hang detection needs *some* notion of "too long").
@@ -110,8 +110,6 @@ class ShardRetryPolicy:
     """
 
     max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     hang_timeout_s: float | None = None
     hang_grace_s: float = 30.0
     #: How long to let a broken pool's survivor futures settle so work
@@ -119,28 +117,17 @@ class ShardRetryPolicy:
     settle_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0.0:
-            raise ConfigError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0.0:
-            raise ConfigError(
-                f"hang_timeout_s must be > 0, got {self.hang_timeout_s}"
-            )
-        if self.hang_grace_s < 0.0:
+        # Zero-argument super() cannot find the class cell of a slots
+        # dataclass, which is a new class object.
+        RetryPolicy.__post_init__(self)
+        if self.hang_timeout_s is not None and not self.hang_timeout_s > 0.0:
+            raise ConfigError(f"hang_timeout_s must be > 0, got {self.hang_timeout_s}")
+        if not self.hang_grace_s >= 0.0:
             raise ConfigError(f"hang_grace_s must be >= 0, got {self.hang_grace_s}")
-
-    def delay_s(self, attempt: int) -> float:
-        """Backoff before re-running a shard charged *attempt* times (1-based)."""
-        if attempt < 1:
-            raise ConfigError(f"attempts are 1-based, got {attempt}")
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
+        if not self.settle_timeout_s >= 0.0:
+            raise ConfigError(
+                f"settle_timeout_s must be >= 0, got {self.settle_timeout_s}"
+            )
 
     def hang_window_s(self, deadline_s: float | None) -> float | None:
         """The no-progress window before in-flight shards count as hung."""
@@ -179,18 +166,19 @@ def supervise_process_shards(
     on the way.  Worker exceptions that are *not* pool breakage
     (strict-mode item errors, genuine bugs) propagate to the caller
     unchanged.  The batch-wide options (deadline, sleeper, strictness)
-    are read off the tasks, which all carry the same ones.  See the
-    module docstring for the containment model.
+    are read off the tasks, which all carry the same
+    :class:`~repro.serving.ItemOptions`.  See the module docstring for
+    the containment model.
     """
     if not tasks:
         return
-    deadline_s, sleeper, strict = tasks[0].deadline_s, tasks[0].sleeper, tasks[0].strict
+    options = tasks[0].options
     queue: deque[_Unit] = deque(_Unit(task) for task in tasks)
     next_shard_id = max(t.shard_id for t in tasks) + 1
     pending: dict[Future, _Unit] = {}
     serialize = False
     m = metrics()
-    hang_window = policy.hang_window_s(deadline_s)
+    hang_window = policy.hang_window_s(options.deadline_s)
     pool = _checkout(workers)
 
     def charge(unit: _Unit, reason: str) -> None:
@@ -207,7 +195,7 @@ def supervise_process_shards(
             )
             delay = policy.delay_s(unit.attempts)
             if delay > 0.0:
-                sleeper(delay)
+                options.sleeper(delay)
             queue.appendleft(unit)
             return
         if len(unit.task.items) > 1:
@@ -237,7 +225,7 @@ def supervise_process_shards(
             f"{unit.task.indices[0]} was the only one in flight; "
             f"isolated after {unit.attempts} attempt(s)"
         )
-        if strict:
+        if options.strict:
             raise WorkerCrashError(message)
         emit_event(
             "shard_retry", shard_id=shard_id, action="quarantine",

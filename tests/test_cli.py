@@ -115,6 +115,18 @@ class TestCommands:
         assert code == 1
         assert "error:" in err and "quarantined" not in err
 
+    def test_nan_deadline_is_a_config_error(self, tmp_path, capsys):
+        """Not an item quarantined as ``DeadlineExceeded``."""
+        trip = tmp_path / "trip.csv"
+        trip.write_text("39.910,116.400,0\n39.911,116.401,5\n")
+        code = main([
+            "--training", "40", "summarize", str(trip), "--deadline", "nan",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "deadline budget must be >= 0" in err
+        assert "quarantined" not in err
+
 
 class TestObservabilityFlags:
     def test_trace_and_metrics_out(self, tmp_path, capsys):

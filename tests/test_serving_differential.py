@@ -298,10 +298,10 @@ def test_serial_run_reports_no_pool_shape(stmaker, corpus):
 def test_pool_rejects_zero_workers(stmaker, corpus):
     """Pool-shape options are validated the same for serial and pool."""
     from repro.exceptions import ConfigError
-    from repro.serving import run_sharded
+    from repro.serving import ItemOptions, run_sharded
 
     with pytest.raises(ConfigError):
-        run_sharded(stmaker, corpus, 2, workers=0)
+        run_sharded(stmaker, corpus, ItemOptions(k=2), workers=0)
     with pytest.raises(ConfigError):
         stmaker.summarize_many(corpus, k=2, workers=0)
     bad_options = (

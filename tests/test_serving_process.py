@@ -28,7 +28,7 @@ import repro
 from repro import obs
 from repro.exceptions import ConfigError
 from repro.obs.metrics import MetricsRegistry
-from repro.serving import EXECUTORS, run_sharded
+from repro.serving import EXECUTORS, ItemOptions, run_sharded
 
 
 @pytest.fixture()
@@ -172,8 +172,8 @@ class TestProcessPreChecks:
     def test_unpicklable_sleeper_rejected_fast(self, stmaker, trips):
         with pytest.raises(ConfigError, match="picklable sleeper"):
             run_sharded(
-                stmaker, trips, 2, workers=2, executor="process",
-                sleeper=lambda s: None,
+                stmaker, trips, ItemOptions(k=2, sleeper=lambda s: None),
+                workers=2, executor="process",
             )
 
     def test_custom_feature_registry_rejected(self, scenario, trips):
@@ -213,7 +213,9 @@ class TestDefaultPoolShape:
         shard_events = []
         for call in (
             lambda: stmaker.summarize_many(trips[:2], k=2, executor="process"),
-            lambda: run_sharded(stmaker, trips[:2], 2, executor="process"),
+            lambda: run_sharded(
+                stmaker, trips[:2], ItemOptions(k=2), executor="process"
+            ),
         ):
             log = bus.subscribe(obs.EventLog())
             batch = call()

@@ -284,10 +284,15 @@ class SummarizationServer:
             if deadline_s is _UNSET
             else deadline_s
         )
-        # Validate the deadline (Deadline raises ConfigError on a negative
-        # budget) *before* taking an admission ticket — failing after
-        # admit() would leak the ticket and permanently eat queued-item
-        # budget.
+        # Validate the options (ItemOptions raises ConfigError on a bad
+        # deadline budget) *before* taking an admission ticket — failing
+        # after admit() would leak the ticket and permanently eat
+        # queued-item budget.
+        options = ItemOptions(
+            k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
+            strict=strict, retry=retry or RetryPolicy(),
+            deadline_s=effective_deadline, sleeper=sleeper,
+        )
         deadline = Deadline(effective_deadline)
         try:
             ticket = self.admission.admit(
@@ -303,11 +308,7 @@ class SummarizationServer:
         )
         entry = _QueuedRequest(
             handle=handle, items=items,
-            options=ItemOptions(
-                k=k, sanitize=sanitize, sanitizer_config=sanitizer_config,
-                strict=strict, retry=retry or RetryPolicy(),
-                deadline_s=effective_deadline, sleeper=sleeper,
-            ),
+            options=options,
             deadline=deadline,
             ticket=ticket,
         )

@@ -102,7 +102,9 @@ class ItemOptions:
     ``summarize_many`` and ``SummarizationServer.submit`` build one from
     their keywords, and every layer below them carries it whole.
     ``deadline_s`` budgets one :class:`~repro.resilience.Deadline` per
-    :class:`ShardTask`.
+    :class:`ShardTask`; it is checked here, with ``Deadline``'s own rule,
+    so a bad budget fails before admission, before any batch event, and
+    never inside a process worker.
     """
 
     k: int | None = None
@@ -112,6 +114,12 @@ class ItemOptions:
     retry: RetryPolicy = RetryPolicy()
     deadline_s: float | None = None
     sleeper: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        if self.deadline_s is not None and not self.deadline_s >= 0.0:
+            raise ConfigError(
+                f"deadline budget must be >= 0, got {self.deadline_s}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +131,13 @@ class ShardTask:
     provenance, exactly as a batch that was never sharded.  The fields
     after ``options`` are only filled in for the process executor.
     Deliberately model-free: the trained state travels as an
-    artifact reference, not as pickled objects, so N tasks cost N small
-    pickles plus one artifact load per worker process (the per-process
-    cache in :mod:`repro.artifact` collapses repeats).
+    artifact reference, not as pickled objects, and is loaded once per
+    worker process (the per-process cache in :mod:`repro.artifact`
+    collapses repeats).  What a task does pickle is its items: each
+    :class:`~repro.trajectory.RawTrajectory` crosses as its id and three
+    float columns and is rebuilt, checks included, in the worker, so a
+    trip pickles as a fixed number of objects, however many samples it
+    has.
     """
 
     shard_id: int | None

@@ -56,14 +56,15 @@ one list per worker count, and each call **checks one out
 exclusively**: concurrent callers (say, two server consumers) never
 share a pool, so one caller's poison can only break its own pool and
 attribution stays exact.  A pool is **checked back in** only when its
-call ended with nothing in flight.  A broken pool is shut down and
-joined, then replaced, also when it breaks between two submits (the
-shard whose submit raised never ran and goes back uncharged); a hung
-pool is killed; a pool left by an exception (a strict-mode raise) is
-dropped; an idle pool whose worker died in the meantime is killed at
-the next checkout.  A forked child starts with no idle pools (they
-belong to the parent).  Idle pools end at interpreter exit through
-``concurrent.futures``' own exit hook, which joins their workers.
+call ended with nothing in flight.  A broken pool's workers are
+terminated, then the pool is shut down, joined and replaced, also when
+it breaks between two submits (the shard whose submit raised never ran
+and goes back uncharged); a hung pool is killed; a pool left by an
+exception (a strict-mode raise) is dropped; an idle pool whose worker
+died in the meantime is killed at the next checkout.  A forked child
+starts with no idle pools (they belong to the parent).  Idle pools end
+at interpreter exit through ``concurrent.futures``' own exit hook,
+which joins their workers.
 """
 
 from __future__ import annotations
@@ -285,11 +286,15 @@ def supervise_process_shards(
         The broken pool's remaining futures settle fast (the executor
         fails them all).  Joining the pool ends its manager and feeder
         threads, so a single-threaded caller's replacement still forks.
+        Its workers are terminated first: under ``forkserver`` and
+        ``spawn`` a submit starts a worker, and one started while the
+        pool was breaking never exits, so the join would hang on it.
         """
         nonlocal pool
         if pending:
             wait(list(pending), timeout=policy.settle_timeout_s)
         lost.extend(drain_settled("crash"))
+        _terminate_workers(pool)
         pool.shutdown(wait=True, cancel_futures=True)
         pool = _new_pool(workers)
         handle_incident(lost, "crash")
@@ -305,9 +310,13 @@ def supervise_process_shards(
                     continue
                 try:
                     pending[pool.submit(run_shard_in_process, unit.task)] = unit
-                except BrokenExecutor:
+                except (BrokenExecutor, OSError):
                     # A worker died since the last wait.  This shard never
-                    # ran: requeue it uncharged.
+                    # ran: requeue it uncharged.  A submit that starts a
+                    # worker (forkserver, spawn) on a pool breaking under
+                    # it raises OSError on the closed call queue instead.
+                    if not pool._broken:
+                        raise
                     queue.appendleft(unit)
                     replace_broken_pool([])
             if not pending:
@@ -455,11 +464,16 @@ os.register_at_fork(after_in_child=_forget_idle_pools)
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Terminate a hung pool, or an idle one that lost a worker.
 
-    Reaches into the executor's live worker table (no public API exposes
-    it) to SIGTERM the stuck processes before shutdown; shutdown alone
-    would *join* them and hang the parent right behind the worker.
+    SIGTERMs the stuck processes before shutdown; shutdown alone would
+    *join* them and hang the parent right behind the worker.
     """
+    _terminate_workers(pool)
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGTERM every worker of *pool*, through the executor's live worker
+    table (no public API exposes it)."""
     for process in list(getattr(pool, "_processes", {}).values()):
         with contextlib.suppress(Exception):
             process.terminate()
-    pool.shutdown(wait=False, cancel_futures=True)

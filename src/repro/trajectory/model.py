@@ -30,7 +30,12 @@ class TrajectoryPoint:
 
 
 class RawTrajectory:
-    """A raw trajectory ``T = [(p1, t1), ..., (pn, tn)]`` (Definition 1)."""
+    """A raw trajectory ``T = [(p1, t1), ..., (pn, tn)]`` (Definition 1).
+
+    Pickles as its id and three float columns (latitudes, longitudes,
+    timestamps) and is rebuilt on load through the public constructors,
+    so a copy in a worker process passes every check the original did.
+    """
 
     def __init__(
         self, points: Sequence[TrajectoryPoint], trajectory_id: str = ""
@@ -45,6 +50,18 @@ class RawTrajectory:
         self.points: tuple[TrajectoryPoint, ...] = tuple(points)
         self.trajectory_id = trajectory_id
         self._times = times
+
+    def __reduce__(self) -> tuple:
+        points = self.points
+        return (
+            _raw_from_columns,
+            (
+                self.trajectory_id,
+                tuple([p.point.lat for p in points]),
+                tuple([p.point.lon for p in points]),
+                tuple(self._times),
+            ),
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -96,6 +113,22 @@ class RawTrajectory:
             f"RawTrajectory(id={self.trajectory_id!r}, samples={len(self.points)}, "
             f"duration={self.duration_s:.0f}s)"
         )
+
+
+def _raw_from_columns(
+    trajectory_id: str,
+    lats: Sequence[float],
+    lons: Sequence[float],
+    ts: Sequence[float],
+) -> RawTrajectory:
+    """Rebuild a pickled :class:`RawTrajectory` from its float columns."""
+    return RawTrajectory(
+        [
+            TrajectoryPoint(GeoPoint(lat, lon), t)
+            for lat, lon, t in zip(lats, lons, ts, strict=True)
+        ],
+        trajectory_id,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -407,6 +407,53 @@ class TestWarmPool:
         assert _count(registry, "artifact.loads") == 0.0
         assert _idle(1) == [replacement]
 
+    @pytest.mark.parametrize("broken", [True, False])
+    def test_submit_oserror_on_a_breaking_pool_requeues_the_shard(
+        self, stmaker, corpus, clean_obs, no_idle_pools, monkeypatch, broken
+    ):
+        """A submit that starts a worker (forkserver, spawn) on a pool
+        whose manager is tearing it down fails with ``OSError`` on the
+        closed call queue.  On a broken pool that is breakage: the shard
+        never ran, so it goes back uncharged onto a replacement pool.  On
+        a healthy pool the error is not the supervisor's to hide."""
+        new_pool = supervisor._new_pool
+        doomed = []
+
+        def first_pool_fails_its_first_submit(workers):
+            pool = new_pool(workers)
+            if not doomed:
+                doomed.append(pool)
+
+                def submit(*args, **kwargs):
+                    if broken:
+                        pool._broken = "a worker died"
+                    raise OSError("handle is closed")
+
+                pool.submit = submit
+            return pool
+
+        monkeypatch.setattr(
+            supervisor, "_new_pool", first_pool_fails_its_first_submit
+        )
+        items = corpus[:4]
+        if not broken:
+            with pytest.raises(OSError, match="handle is closed"):
+                stmaker.summarize_many(
+                    items, k=2, workers=2, executor="process",
+                    shard_retry=NO_RETRY,
+                )
+            return
+        serial = stmaker.summarize_many(items, k=2)
+        batch = stmaker.summarize_many(
+            items, k=2, workers=2, executor="process", shard_retry=NO_RETRY
+        )
+        assert (batch.ok_count, batch.quarantined) == (len(items), [])
+        assert [s.text for s in batch.summaries] == [
+            s.text for s in serial.summaries
+        ]
+        [replacement] = _idle(2)
+        assert replacement is not doomed[0]
+
     def test_idle_pool_that_lost_a_worker_is_not_handed_out(
         self, stmaker, corpus, clean_obs, no_idle_pools
     ):

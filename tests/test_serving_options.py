@@ -26,8 +26,10 @@ import os
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.summarizer import STMaker
 from repro.exceptions import ConfigError
+from repro.obs import MetricsRegistry
 from repro.resilience import Deadline, RetryPolicy
 from repro.server import ServerConfig, SummarizationServer
 from repro.serving import (
@@ -36,6 +38,7 @@ from repro.serving import (
     ItemOptions,
     ShardRetryPolicy,
     pool,
+    supervisor,
 )
 from repro.trajectory import SanitizerConfig
 
@@ -195,6 +198,74 @@ class TestNaNBudgets:
     def test_nan_server_deadline_rejected(self, config):
         with pytest.raises(ConfigError):
             ServerConfig(**config)
+
+
+def _idle_pools(workers: int) -> list:
+    with supervisor._idle_lock:
+        return list(supervisor._idle_pools.get(workers, ()))
+
+
+@pytest.fixture()
+def observed():
+    """Fresh metrics and an event log, both read after the call."""
+    registry = obs.enable_metrics(MetricsRegistry())
+    log = obs.EventLog()
+    obs.enable_events().subscribe(log)
+    return registry, log
+
+
+class TestBadDeadlineFailsFirst:
+    """A bad ``deadline_s`` is a ``ConfigError`` before the batch exists:
+    no event, no batch counter, and a warm process pool stays warm."""
+
+    @pytest.mark.parametrize("value", [-1.0, NAN])
+    def test_item_options_checks_the_deadline(self, value):
+        with pytest.raises(ConfigError, match="deadline budget"):
+            ItemOptions(deadline_s=value)
+        with pytest.raises(ConfigError, match="deadline budget"):
+            dataclasses.replace(ItemOptions(), deadline_s=value)
+        assert ItemOptions(deadline_s=0.0).deadline_s == 0.0
+
+    @pytest.mark.parametrize("value", [-1.0, NAN])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_summarize_many(self, scenario, trips, observed, executor, value):
+        registry, log = observed
+        if executor == "process":
+            # Warm a pool first, so there is one to lose.
+            scenario.stmaker.summarize_many(
+                trips[:2], workers=2, executor="process"
+            )
+        idle = _idle_pools(2)
+        log.clear()
+        registry.reset()
+        with pytest.raises(ConfigError, match="deadline budget"):
+            scenario.stmaker.summarize_many(
+                trips[:2], workers=2, executor=executor, deadline_s=value,
+                admission=AdmissionPolicy(max_queued_items=8),
+            )
+        assert list(log) == []
+        assert registry.get("resilience.batch.calls") is None
+        assert _idle_pools(2) == idle
+        if executor == "process":
+            assert idle
+
+    @pytest.mark.parametrize("value", [-1.0, NAN])
+    def test_submit(self, scenario, trips, observed, value):
+        registry, log = observed
+        config = ServerConfig(workers=2, executor="process")
+        with SummarizationServer(scenario.stmaker, config) as server:
+            server.submit(trips[:2]).result(timeout=RESULT_TIMEOUT_S)
+            idle = _idle_pools(2)
+            log.clear()
+            registry.reset()
+            with pytest.raises(ConfigError, match="deadline budget"):
+                server.submit(trips[:2], deadline_s=value)
+            assert server.admission.queued_items == 0
+        assert list(log) == []
+        assert registry.get("resilience.batch.calls") is None
+        assert registry.get("server.requests.submitted") is None
+        assert _idle_pools(2) == idle
+        assert idle
 
 
 class TestAdmissionBudgets:

@@ -1,8 +1,15 @@
 """Tests for raw/symbolic trajectory models."""
 
-import pytest
+import math
+import pickle
+import pickletools
+import struct
 
-from repro.exceptions import TrajectoryError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import GeometryError, TrajectoryError
 from repro.geo import GeoPoint, LocalProjector
 from repro.trajectory import (
     RawTrajectory,
@@ -10,6 +17,7 @@ from repro.trajectory import (
     SymbolicTrajectory,
     TrajectoryPoint,
 )
+from repro.trajectory.model import _raw_from_columns
 
 CENTER = GeoPoint(39.91, 116.40)
 
@@ -119,3 +127,117 @@ class TestSymbolicTrajectory:
         t = SymbolicTrajectory(entries)
         assert list(t) == entries
         assert t[2] == entries[2]
+
+
+# -- pickling: an id and three float columns, rebuilt through the constructors
+
+SUBNORMAL = 5e-324
+_EDGE_FLOATS = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308]
+
+
+def _coordinate(bound: float) -> st.SearchStrategy[float]:
+    return st.one_of(
+        st.sampled_from([bound, -bound, *_EDGE_FLOATS]),
+        st.floats(-bound, bound, allow_nan=False),
+    )
+
+
+@st.composite
+def raw_trajectories(draw) -> RawTrajectory:
+    n = draw(st.integers(2, 12))
+    lats = draw(st.lists(_coordinate(90.0), min_size=n, max_size=n))
+    lons = draw(st.lists(_coordinate(180.0), min_size=n, max_size=n))
+    ts = sorted(draw(st.lists(
+        st.one_of(
+            st.sampled_from(_EDGE_FLOATS),
+            st.floats(-1e12, 1e12, allow_nan=False),
+        ),
+        min_size=n, max_size=n,
+    )))
+    if draw(st.booleans()):
+        ts = [ts[0]] * n  # every timestamp equal
+    points = [
+        TrajectoryPoint(GeoPoint(lat, lon), t) for lat, lon, t in zip(lats, lons, ts)
+    ]
+    return RawTrajectory(points, draw(st.text(max_size=8)))
+
+
+def _bits(points) -> list[bytes]:
+    return [
+        struct.pack("ddd", p.point.lat, p.point.lon, p.t) for p in points
+    ]
+
+
+def _objects_built(payload: bytes) -> int:
+    return sum(
+        1 for op, _, _ in pickletools.genops(payload)
+        if op.name in ("NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD")
+    )
+
+
+def _line(n: int) -> RawTrajectory:
+    return RawTrajectory(
+        [TrajectoryPoint(GeoPoint(39.9 + i * 1e-4, 116.4), 5.0 * i) for i in range(n)],
+        "line",
+    )
+
+
+class TestRawTrajectoryPickle:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_trajectories(), data=st.data())
+    def test_round_trip_is_bit_exact(self, raw, data):
+        copy = pickle.loads(pickle.dumps(raw))
+        assert copy.trajectory_id == raw.trajectory_id
+        assert _bits(copy) == _bits(raw)
+        t_start, t_end = sorted(
+            data.draw(st.sampled_from([p.t for p in raw]), label=name)
+            for name in ("t_start", "t_end")
+        )
+        assert _bits(copy.slice_time(t_start, t_end)) == _bits(
+            raw.slice_time(t_start, t_end)
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_size_in_objects_is_independent_of_samples(self, protocol):
+        """One rebuild call per trajectory, not an object per sample."""
+        short, long = (
+            pickle.dumps(_line(n), protocol=protocol) for n in (2, 200)
+        )
+        assert _objects_built(long) == _objects_built(short)
+
+    def test_rebuilt_copy_is_a_valid_trajectory(self):
+        raw = _line(5)
+        raw.trajectory_id = "renamed-after-construction"
+        copy = pickle.loads(pickle.dumps(raw))
+        assert copy.trajectory_id == "renamed-after-construction"
+        assert isinstance(copy[0], TrajectoryPoint)
+        assert isinstance(copy[0].point, GeoPoint)
+        assert copy.duration_s == raw.duration_s == 20.0
+
+    @pytest.mark.parametrize(
+        "lats, lons, ts, error",
+        [
+            ((39.9, 91.0), (116.4, 116.4), (0.0, 5.0), GeometryError),
+            ((39.9, 39.9), (116.4, -180.5), (0.0, 5.0), GeometryError),
+            ((39.9, math.nan), (116.4, 116.4), (0.0, 5.0), GeometryError),
+            ((39.9, 39.9), (math.nan, 116.4), (0.0, 5.0), GeometryError),
+            ((39.9, 39.9), (116.4, 116.4), (5.0, 0.0), TrajectoryError),
+            ((39.9,), (116.4,), (0.0,), TrajectoryError),
+        ],
+    )
+    def test_rebuild_runs_the_constructor_checks(self, lats, lons, ts, error):
+        with pytest.raises(error) as built:
+            RawTrajectory(
+                [
+                    TrajectoryPoint(GeoPoint(lat, lon), t)
+                    for lat, lon, t in zip(lats, lons, ts)
+                ],
+                "bad",
+            )
+        with pytest.raises(error) as rebuilt:
+            _raw_from_columns("bad", lats, lons, ts)
+        assert str(rebuilt.value) == str(built.value)
+
+    def test_rebuild_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            _raw_from_columns("bad", (39.9, 39.9), (116.4,), (0.0, 5.0))
